@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Full robustness gate: build and run the test suite (1) plain,
 # (2) under ASan+UBSan, (3) under UBSan alone (with examples on, so the
-# serve path runs sanitized end to end), and (4) under TSan for the
+# serve path runs sanitized end to end), (4) under TSan for the
 # concurrency-heavy targets (util_test exercises the exception-safe
 # ThreadPool/ParallelFor, obs_test the sharded metrics registry,
-# chaos_test the failpoint and cancellation machinery). The plain pass
+# chaos_test the failpoint and cancellation machinery, lsh_test and
+# storage_test the multi-threaded bucket join), and (5) as an optimised
+# Release build (-O3 under the same -Werror flags). The plain pass
 # also smoke-tests the metrics export pipeline: serve_quickstart writes
 # the registry as JSON and tools/metrics_json_check validates its
 # structure.
@@ -22,6 +24,7 @@
 #   $ scripts/check.sh            # everything
 #   $ scripts/check.sh plain      # just the plain build + tests
 #   $ scripts/check.sh asan|tsan  # a single sanitizer pass
+#   $ scripts/check.sh release    # -O3 Release build + full test suite
 #   $ scripts/check.sh ubsan      # UBSan alone (catches UB that ASan's
 #                                 # combined leg can mask, and runs the
 #                                 # benches/examples that leg skips)
@@ -75,10 +78,23 @@ run_tsan() {
   cmake -B build-tsan -S . -DIPS_SANITIZE=thread \
     -DIPS_BUILD_BENCHMARKS=OFF -DIPS_BUILD_EXAMPLES=ON >/dev/null
   cmake --build build-tsan -j"$JOBS" \
-    --target util_test obs_test chaos_test serve_test sharded_test serve_quickstart
-  (cd build-tsan && ctest --output-on-failure -R 'util_test|obs_test|chaos_test|serve_test|sharded_test')
+    --target util_test obs_test chaos_test serve_test sharded_test \
+    lsh_test storage_test serve_quickstart
+  (cd build-tsan && ctest --output-on-failure \
+    -R '^(util_test|obs_test|chaos_test|serve_test|sharded_test|lsh_test|storage_test)$')
   echo "=== TSan serve quickstart ==="
   ./build-tsan/examples/serve_quickstart
+}
+
+run_release() {
+  # The optimised build the benches should run under: -O3 inlines far
+  # more than the default RelWithDebInfo, which is where GCC's
+  # -Wstringop-overflow family fires, so it must compile clean under
+  # -Werror and pass the full suite.
+  echo "=== Release build + full test suite ==="
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build-release -j"$JOBS"
+  (cd build-release && ctest --output-on-failure -j"$JOBS")
 }
 
 run_chaos() {
@@ -224,14 +240,15 @@ case "$MODE" in
   asan)   run_asan ;;
   tsan)   run_tsan ;;
   ubsan)  run_ubsan ;;
+  release) run_release ;;
   chaos)  run_chaos ;;
   scalar) run_scalar ;;
   storage) run_storage ;;
   quant)  run_quant ;;
   serve)  run_serve ;;
   static) run_static ;;
-  all)    run_plain; run_scalar; run_asan; run_tsan; run_ubsan; run_storage; run_quant; run_serve; run_static ;;
-  *) echo "usage: $0 [plain|asan|tsan|ubsan|chaos|scalar|storage|quant|serve|static|all]" >&2; exit 2 ;;
+  all)    run_plain; run_scalar; run_release; run_asan; run_tsan; run_ubsan; run_storage; run_quant; run_serve; run_static ;;
+  *) echo "usage: $0 [plain|asan|tsan|ubsan|release|chaos|scalar|storage|quant|serve|static|all]" >&2; exit 2 ;;
 esac
 
 echo "all checks passed"

@@ -23,6 +23,18 @@
 
 namespace ips {
 
+class LshFamily;
+class VectorTransform;  // lsh/transforms.h
+
+/// The (transform, base family) split of a family that maps vectors
+/// through a VectorTransform before hashing them.
+struct LshFamilySplit {
+  /// Null when the family hashes its input as is.
+  const VectorTransform* transform = nullptr;
+  /// The family that hashes the transformed vectors.
+  const LshFamily* base = nullptr;
+};
+
 /// One sampled hash-function pair (h_p, h_q) from a family.
 class LshFunction {
  public:
@@ -51,6 +63,13 @@ class LshFamily {
 
   /// True when h_p == h_q by construction.
   virtual bool IsSymmetric() const { return false; }
+
+  /// The family as (transform, base): Sample(rng) draws exactly what
+  /// base->Sample(rng) draws, and the drawn pair hashes data p as the
+  /// base pair hashes transform->TransformData(p) (queries likewise).
+  /// Bulk hashers transform each row once instead of once per drawn
+  /// function. The default is {no transform, this}.
+  virtual LshFamilySplit Split() const { return {nullptr, this}; }
 };
 
 /// Convenience base for symmetric families: implement HashData only.

@@ -202,6 +202,7 @@ class TransformedLshFamily : public LshFamily {
   bool IsSymmetric() const override {
     return transform_->IsSymmetric() && base_->IsSymmetric();
   }
+  LshFamilySplit Split() const override { return {transform_, base_}; }
 
  private:
   const VectorTransform* transform_;

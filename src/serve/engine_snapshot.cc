@@ -235,12 +235,7 @@ StatusOr<MipsBallTree> DecodeTree(std::span<const unsigned char> bytes,
   // node count in a damaged-but-CRC-valid payload fails the bounds
   // check below before any large allocation.
   const std::uint64_t node_bytes = 8 + 8 + 4 + 4 + 8 + cols * 8;
-  if (num_nodes * node_bytes > r.remaining()) {
-    return Status::DataLoss("TREE section claims " +
-                            std::to_string(num_nodes) +
-                            " nodes but holds only " +
-                            std::to_string(r.remaining()) + " bytes");
-  }
+  IPS_RETURN_IF_ERROR(r.CheckCount(num_nodes, node_bytes, "nodes"));
   std::vector<MipsBallTree::Node> nodes(
       static_cast<std::size_t>(num_nodes));
   for (MipsBallTree::Node& node : nodes) {
@@ -262,12 +257,7 @@ StatusOr<MipsBallTree> DecodeTree(std::span<const unsigned char> bytes,
   }
   std::uint64_t order_size = 0;
   IPS_RETURN_IF_ERROR(r.GetU64(&order_size));
-  if (order_size * 8 > r.remaining()) {
-    return Status::DataLoss("TREE section claims " +
-                            std::to_string(order_size) +
-                            " point-order entries but holds only " +
-                            std::to_string(r.remaining()) + " bytes");
-  }
+  IPS_RETURN_IF_ERROR(r.CheckCount(order_size, 8, "point-order entries"));
   std::vector<std::size_t> point_order(
       static_cast<std::size_t>(order_size));
   for (std::size_t& p : point_order) {
@@ -316,33 +306,19 @@ StatusOr<DecodedLshTables> DecodeLshTables(
   IPS_RETURN_IF_ERROR(r.GetU64(&l));
   decoded.params.k = static_cast<std::size_t>(k);
   decoded.params.l = static_cast<std::size_t>(l);
-  if (l > r.remaining() / 8 + 1) {
-    return Status::DataLoss("LSHT section claims " + std::to_string(l) +
-                            " tables but holds only " +
-                            std::to_string(r.remaining()) + " bytes");
-  }
+  IPS_RETURN_IF_ERROR(r.CheckCount(l, 8, "tables"));
   decoded.buckets.resize(static_cast<std::size_t>(l));
   for (auto& table : decoded.buckets) {
     std::uint64_t num_buckets = 0;
     IPS_RETURN_IF_ERROR(r.GetU64(&num_buckets));
-    if (num_buckets * 16 > r.remaining()) {
-      return Status::DataLoss("LSHT section claims " +
-                              std::to_string(num_buckets) +
-                              " buckets but holds only " +
-                              std::to_string(r.remaining()) + " bytes");
-    }
+    IPS_RETURN_IF_ERROR(r.CheckCount(num_buckets, 16, "buckets"));
     table.reserve(static_cast<std::size_t>(num_buckets));
     for (std::uint64_t b = 0; b < num_buckets; ++b) {
       std::uint64_t key = 0;
       std::uint64_t count = 0;
       IPS_RETURN_IF_ERROR(r.GetU64(&key));
       IPS_RETURN_IF_ERROR(r.GetU64(&count));
-      if (count * 4 > r.remaining()) {
-        return Status::DataLoss("LSHT bucket claims " +
-                                std::to_string(count) +
-                                " entries but the section holds only " +
-                                std::to_string(r.remaining()) + " bytes");
-      }
+      IPS_RETURN_IF_ERROR(r.CheckCount(count, 4, "bucket entries"));
       std::vector<std::uint32_t>& bucket = table[key];
       bucket.resize(static_cast<std::size_t>(count));
       IPS_RETURN_IF_ERROR(r.GetU32s(bucket));

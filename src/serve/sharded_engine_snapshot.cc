@@ -39,12 +39,7 @@ Status DecodeManifest(std::span<const unsigned char> bytes,
   storage::PayloadReader r(bytes, "META");
   IPS_RETURN_IF_ERROR(r.GetU64(&manifest->num_shards));
   IPS_RETURN_IF_ERROR(r.GetU64(&manifest->dim));
-  if (manifest->num_shards * 8 > r.remaining()) {
-    return Status::DataLoss("sharded manifest claims " +
-                            std::to_string(manifest->num_shards) +
-                            " shards but holds only " +
-                            std::to_string(r.remaining()) + " bytes");
-  }
+  IPS_RETURN_IF_ERROR(r.CheckCount(manifest->num_shards, 8, "shards"));
   manifest->offsets.resize(static_cast<std::size_t>(manifest->num_shards));
   for (std::uint64_t& offset : manifest->offsets) {
     IPS_RETURN_IF_ERROR(r.GetU64(&offset));

@@ -2,30 +2,34 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
+#include "linalg/quantized.h"
 #include "obs/metrics.h"
 #include "rng/random.h"
 #include "storage/snapshot.h"
-#include "util/check.h"
 #include "util/failpoint.h"
+#include "util/thread_pool.h"
 
 namespace ips {
 namespace storage {
 namespace {
 
-// Working-set multiple of one resident block: the data block, the query
-// block, and the per-pair hash tables (bucket maps hold ~4 bytes per
-// (row, table) entry plus map overhead, bounded by a few times the
-// block itself for the l values the library uses).
-constexpr std::size_t kWorkingSetBlocks = 6;
-
+// Rows per block: the explicit options.block_rows, or the most rows
+// whose join working set (BucketJoiner::WorkingSetBytesPerRow, with the
+// data block and the query block both full) fits the budget. Either is
+// rounded down to whole quantization row blocks, at least one, which
+// BucketJoiner::Join requires of every data block but the last so the
+// join counters equal a monolithic run's.
 std::size_t ResolveBlockRows(const BlockedJoinOptions& options,
                              std::size_t cols) {
-  if (options.block_rows > 0) return options.block_rows;
-  const std::size_t row_bytes = std::max<std::size_t>(1, cols * sizeof(double));
-  const std::size_t block_bytes =
-      options.memory_budget_bytes / kWorkingSetBlocks;
-  return std::max<std::size_t>(1, block_bytes / row_bytes);
+  const std::size_t rows =
+      options.block_rows > 0
+          ? options.block_rows
+          : options.memory_budget_bytes /
+                BucketJoiner::WorkingSetBytesPerRow(cols, options.params.l);
+  constexpr std::size_t kAlign = QuantizedMatrix::kRowsPerBlock;
+  return std::max(kAlign, rows - rows % kAlign);
 }
 
 }  // namespace
@@ -87,57 +91,38 @@ StatusOr<BucketJoinResult> BlockedBucketJoin(const LshFamily& family,
 
   BucketJoinResult result;
   result.per_query.resize(local.query_rows);
-  std::size_t candidate_pairs = 0;
-  std::size_t verified_pairs = 0;
-  std::size_t duplicate_pairs = 0;
+  BucketJoinCounters counters;
+  // One draw of the L functions serves every block pair, so a (data,
+  // query) pair collides here iff it collides in the monolithic join
+  // (see header). Each query block is hashed and quantized once and
+  // probed against every data block.
+  ThreadPool pool(ThreadPool::DefaultThreadCount());
+  Rng rng(options.seed);
+  BucketJoiner joiner(family, options.params, options.cs_threshold,
+                      options.is_signed, &rng, &pool);
 
   // Blocks are reused across iterations (ReadRows only reallocates on a
   // shape change), so the steady-state footprint is the two blocks plus
-  // the per-pair tables LshBucketJoin builds and frees.
+  // the query block's keys and codes and the data block's flat buckets
+  // and codes: the working set ResolveBlockRows sized.
   Matrix query_block;
   Matrix data_block;
   for (std::size_t q0 = 0; q0 < local.query_rows; q0 += block_rows) {
     const std::size_t qn = std::min(block_rows, local.query_rows - q0);
     IPS_RETURN_IF_ERROR(query_reader->ReadRows(q0, qn, &query_block));
     local.bytes_read += qn * query_reader->cols() * sizeof(double);
+    joiner.SetQueries(query_block, query_block);
+    const std::span<BucketJoinMatch> best(result.per_query.data() + q0, qn);
     for (std::size_t d0 = 0; d0 < local.data_rows; d0 += block_rows) {
       const std::size_t dn = std::min(block_rows, local.data_rows - d0);
       IPS_RETURN_IF_ERROR(data_reader->ReadRows(d0, dn, &data_block));
       local.bytes_read += dn * data_reader->cols() * sizeof(double);
       ++local.block_pairs;
-
-      // Fresh Rng per pair: table t's hash function is identical in
-      // every block pair, which is what makes the blocked union equal
-      // the monolithic join (see header).
-      Rng rng(options.seed);
-      const BucketJoinResult pair = LshBucketJoin(
-          family, data_block, data_block, query_block, query_block,
-          options.s_threshold, options.cs_threshold, options.is_signed,
-          options.params, &rng);
-      candidate_pairs += static_cast<std::size_t>(
-          pair.metrics.Get("lsh.join.candidate_pairs"));
-      verified_pairs += static_cast<std::size_t>(
-          pair.metrics.Get("lsh.join.verified_pairs"));
-      duplicate_pairs += static_cast<std::size_t>(
-          pair.metrics.Get("lsh.join.duplicate_pairs"));
-
-      for (std::size_t qi = 0; qi < qn; ++qi) {
-        const auto& pair_best = pair.per_query[qi];
-        if (!pair_best.has_value()) continue;
-        const std::size_t global_index = d0 + pair_best->first;
-        auto& best = result.per_query[q0 + qi];
-        if (!best.has_value() || pair_best->second > best->second ||
-            (pair_best->second == best->second &&
-             global_index < best->first)) {
-          best = std::make_pair(global_index, pair_best->second);
-        }
-      }
+      joiner.Join(data_block, data_block, d0, best, &counters);
     }
   }
 
-  result.metrics.Set("lsh.join.candidate_pairs", candidate_pairs);
-  result.metrics.Set("lsh.join.verified_pairs", verified_pairs);
-  result.metrics.Set("lsh.join.duplicate_pairs", duplicate_pairs);
+  counters.Publish(&result.metrics);
   static Counter* const runs =
       MetricsRegistry::Global().GetCounter("storage.blocked_join.runs");
   static Counter* const pairs =

@@ -4,17 +4,24 @@
 // Out-of-core bucket join: joins two point sets that live in matrix
 // snapshot files and may be far larger than RAM. Rows are streamed in
 // memory-budgeted blocks and every (query block, data block) pair runs
-// through the in-memory LshBucketJoin driver; per-query bests merge
-// across block pairs under the project-wide deterministic ordering
-// (score descending, then smaller global data index).
+// through the in-memory bucket join engine (BucketJoiner, which also
+// backs LshBucketJoin); per-query bests merge across block pairs under
+// the project-wide deterministic ordering (score descending, then
+// smaller global data index).
 //
-// Determinism: every block pair reseeds a fresh Rng(options.seed), so
-// table t draws the *same* concatenated hash function in every block
-// pair — and a (data, query) pair collides in some table of the blocked
-// join iff it collides in the same table of a monolithic LshBucketJoin
-// run with Rng(options.seed). The blocked result therefore equals the
-// monolithic result exactly (tests/storage_test.cc holds it to that),
-// while peak memory stays within the block budget instead of O(n).
+// Determinism: the L concatenated hash functions are drawn once from
+// Rng(options.seed) in table order — exactly the draws of a monolithic
+// LshBucketJoin run with Rng(options.seed) — and serve every block pair.
+// Each query block is hashed and quantized once and probed against every
+// data block. So a (data, query) pair collides in some table of the
+// blocked join iff it collides in the same table of the monolithic run,
+// and the blocked result equals the monolithic result exactly
+// (tests/storage_test.cc holds it to that), while peak memory stays
+// within the block budget instead of O(n). Block sizes are whole
+// QuantizedMatrix row blocks, so the four lsh.join.* counters also sum
+// to the monolithic run's. The join runs on a ThreadPool of
+// ThreadPool::DefaultThreadCount() threads; results and counters do not
+// depend on the thread count.
 
 #ifndef IPS_STORAGE_BLOCKED_JOIN_H_
 #define IPS_STORAGE_BLOCKED_JOIN_H_
@@ -33,13 +40,17 @@ namespace storage {
 
 /// Tuning of one blocked join run.
 struct BlockedJoinOptions {
-  /// Hard budget for the join's working set (both resident blocks plus
-  /// the per-pair hash tables). The blocked-join RSS test asserts the
-  /// process peak stays within this.
+  /// Budget for the join's working set: both resident blocks, the data
+  /// block's flat bucket tables and int8 codes, and the query block's
+  /// keys and codes (BucketJoiner::WorkingSetBytesPerRow per row). The
+  /// blocked-join RSS test asserts the process peak stays within this.
+  /// A budget below one 32-row block's working set still runs 32-row
+  /// blocks.
   std::size_t memory_budget_bytes = 64u << 20;
-  /// Rows per block; 0 derives the largest block whose working set
-  /// (data block + query block + bucket tables, ~6x one block's bytes)
-  /// fits the budget.
+  /// Rows per block; 0 derives the most rows whose working set fits the
+  /// budget. An explicit or derived size is rounded down to whole
+  /// QuantizedMatrix row blocks (32 rows, at least one); the stats
+  /// report the size used.
   std::size_t block_rows = 0;
   /// (K, L) amplification of every block pair's tables.
   LshTableParams params;

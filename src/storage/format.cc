@@ -1,5 +1,6 @@
 #include "storage/format.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 
@@ -103,8 +104,20 @@ Status ValidateHeader(const FileHeader& header, const std::string& path) {
   return Status::Ok();
 }
 
+Status PayloadReader::CheckCount(std::uint64_t count,
+                                 std::uint64_t entry_bytes,
+                                 std::string_view what) const {
+  if (count <= remaining() / std::max<std::uint64_t>(entry_bytes, 1)) {
+    return Status::Ok();
+  }
+  return Status::DataLoss("section " + section_ + " claims " +
+                          std::to_string(count) + " " + std::string(what) +
+                          " but holds only " + std::to_string(remaining()) +
+                          " bytes");
+}
+
 Status PayloadReader::GetBytes(void* out, std::size_t n) {
-  if (pos_ + n > bytes_.size()) {
+  if (n > remaining()) {
     return Status::DataLoss(
         "section " + section_ + " is truncated: needed " + std::to_string(n) +
         " bytes at offset " + std::to_string(pos_) + " of " +

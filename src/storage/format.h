@@ -28,6 +28,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -133,8 +134,12 @@ class PayloadWriter {
 
  private:
   void PutBytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    buffer_.insert(buffer_.end(), b, b + n);
+    // resize + memcpy rather than a range insert, which GCC 12 at -O3
+    // misreads as an overflowing copy (-Wstringop-overflow).
+    if (n == 0) return;
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + n);
+    std::memcpy(buffer_.data() + at, p, n);
   }
 
   std::vector<unsigned char> buffer_;
@@ -165,6 +170,15 @@ class PayloadReader {
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool AtEnd() const { return pos_ == bytes_.size(); }
+
+  /// Checks that `count` entries of at least `entry_bytes` (>= 1) each
+  /// fit in the rest of the payload, before a decoder allocates for
+  /// them. The comparison divides instead of multiplying, so a crafted
+  /// count cannot wrap the product and slip through; kDataLoss naming
+  /// the section and `what` ("nodes", "buckets", ...) otherwise.
+  [[nodiscard]] Status CheckCount(std::uint64_t count,
+                                  std::uint64_t entry_bytes,
+                                  std::string_view what) const;
 
  private:
   Status GetBytes(void* out, std::size_t n);

@@ -6,10 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <numbers>
+#include <optional>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "core/dataset.h"
 #include "linalg/kernels.h"
+#include "linalg/quantized.h"
 #include "lsh/bucket_join.h"
 #include "lsh/cross_polytope.h"
 #include "lsh/bit_sample.h"
@@ -21,6 +29,7 @@
 #include "lsh/tables.h"
 #include "lsh/transforms.h"
 #include "rng/random.h"
+#include "util/thread_pool.h"
 
 namespace ips {
 namespace {
@@ -531,6 +540,195 @@ TEST(BucketJoinTest, DeduplicatesPairsAcrossTablesBeforeVerification) {
   // number of distinct (query, data) pairs.
   EXPECT_LE(result.metrics.Get("lsh.join.verified_pairs"),
             data.rows() * queries.rows());
+}
+
+// --- Bucket join parity against the per-table reference loop ---
+
+// The original single-threaded bucket join, kept verbatim as the oracle:
+// one ConcatenatedLshFunction per table drawn inside the loop, node-map
+// buckets, and a global set of verified pairs.
+BucketJoinResult ReferenceBucketJoin(const LshFamily& family,
+                                     const Matrix& hash_data,
+                                     const Matrix& data,
+                                     const Matrix& hash_queries,
+                                     const Matrix& queries,
+                                     double cs_threshold, bool is_signed,
+                                     LshTableParams params, Rng* rng) {
+  BucketJoinResult result;
+  result.per_query.resize(queries.rows());
+  std::size_t candidate_pairs = 0;
+  std::size_t verified_pairs = 0;
+  std::size_t duplicate_pairs = 0;
+  std::size_t prefiltered_pairs = 0;
+  const QuantizedMatrix qdata = QuantizedMatrix::Quantize(data);
+  std::vector<QuantizedVector> qqueries;
+  qqueries.reserve(queries.rows());
+  for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+    qqueries.push_back(QuantizeVector(queries.Row(qi)));
+  }
+  std::unordered_set<std::uint64_t> verified;
+  for (std::size_t table = 0; table < params.l; ++table) {
+    const ConcatenatedLshFunction function(family, params.k, rng);
+    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
+    for (std::size_t i = 0; i < hash_data.rows(); ++i) {
+      buckets[function.HashData(hash_data.Row(i))].push_back(
+          static_cast<std::uint32_t>(i));
+    }
+    for (std::size_t qi = 0; qi < hash_queries.rows(); ++qi) {
+      const auto it = buckets.find(function.HashQuery(hash_queries.Row(qi)));
+      if (it == buckets.end()) continue;
+      for (std::uint32_t di : it->second) {
+        ++candidate_pairs;
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(qi) << 32) | di;
+        if (!verified.insert(key).second) {
+          ++duplicate_pairs;
+          continue;
+        }
+        const QuantizedVector& qq = qqueries[qi];
+        const double est =
+            static_cast<double>(kernels::DotI8(
+                {qdata.RowCodes(di), data.cols()}, qq.codes)) *
+            qdata.RowScale(di) * qq.scale;
+        const double bound = qdata.ErrorBound(di, qq);
+        const double ceiling = is_signed ? est + bound : std::abs(est) + bound;
+        if (ceiling < cs_threshold) {
+          ++prefiltered_pairs;
+          continue;
+        }
+        ++verified_pairs;
+        const double raw = kernels::Dot(data.Row(di), queries.Row(qi));
+        const double score = is_signed ? raw : std::abs(raw);
+        if (score < cs_threshold) continue;
+        auto& best = result.per_query[qi];
+        if (!best.has_value() || score > best->second ||
+            (score == best->second && di < best->first)) {
+          best = std::make_pair(static_cast<std::size_t>(di), score);
+        }
+      }
+    }
+  }
+  result.metrics.Set("lsh.join.candidate_pairs", candidate_pairs);
+  result.metrics.Set("lsh.join.verified_pairs", verified_pairs);
+  result.metrics.Set("lsh.join.duplicate_pairs", duplicate_pairs);
+  result.metrics.Set("lsh.join.pairs_prefiltered", prefiltered_pairs);
+  return result;
+}
+
+void ExpectSameJoin(const BucketJoinResult& got,
+                    const BucketJoinResult& expected) {
+  ASSERT_EQ(got.per_query.size(), expected.per_query.size());
+  for (std::size_t q = 0; q < expected.per_query.size(); ++q) {
+    ASSERT_EQ(got.per_query[q], expected.per_query[q]) << "query " << q;
+  }
+  for (const char* name :
+       {"lsh.join.candidate_pairs", "lsh.join.verified_pairs",
+        "lsh.join.duplicate_pairs", "lsh.join.pairs_prefiltered"}) {
+    EXPECT_EQ(got.metrics.Get(name), expected.metrics.Get(name)) << name;
+  }
+}
+
+// Pools the parity cases run under: none, one worker (inline), four.
+class BucketJoinParityTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override {
+    if (GetParam() > 0) pool_ = std::make_unique<ThreadPool>(GetParam());
+  }
+  ThreadPool* pool() const { return pool_.get(); }
+
+ private:
+  std::unique_ptr<ThreadPool> pool_;
+};
+
+TEST_P(BucketJoinParityTest, SimHashMatchesReference) {
+  Rng rng(31);
+  const PlantedInstance instance =
+      MakePlantedInstance(700, 160, 8, 0.9, 1.0, &rng);
+  const SimHashFamily family(8);
+  const LshTableParams params{.k = 4, .l = 9};
+  for (const bool is_signed : {true, false}) {
+    Rng reference_rng(5);
+    const BucketJoinResult expected = ReferenceBucketJoin(
+        family, instance.data, instance.data, instance.queries,
+        instance.queries, 0.5, is_signed, params, &reference_rng);
+    Rng join_rng(5);
+    const BucketJoinResult got = LshBucketJoin(
+        family, instance.data, instance.data, instance.queries,
+        instance.queries, 0.8, 0.5, is_signed, params, &join_rng, pool());
+    ExpectSameJoin(got, expected);
+    // Both consumed the same draws.
+    EXPECT_EQ(join_rng.NextUint64(), reference_rng.NextUint64());
+    // The case exercises every branch of the accounting.
+    EXPECT_GT(expected.metrics.Get("lsh.join.duplicate_pairs"), 0u);
+    EXPECT_GT(expected.metrics.Get("lsh.join.pairs_prefiltered"), 0u);
+    EXPECT_GT(expected.metrics.Get("lsh.join.verified_pairs"), 0u);
+    std::size_t matched = 0;
+    for (const auto& match : expected.per_query) matched += match.has_value();
+    EXPECT_GT(matched, 0u);
+  }
+}
+
+TEST_P(BucketJoinParityTest, TransformedFamilyMatchesPretransformedReference) {
+  // The dual-ball ALSH through TransformedLshFamily, against the
+  // reference run on pre-transformed rows under the base family.
+  Rng rng(32);
+  const PlantedInstance instance =
+      MakePlantedInstance(700, 160, 8, 0.9, 1.0, &rng);
+  const DualBallTransform transform(8, 1.0);
+  const SimHashFamily base(transform.output_dim());
+  const TransformedLshFamily family(&transform, &base);
+  const LshTableParams params{.k = 5, .l = 8};
+  const Matrix hash_data = transform.TransformDataset(instance.data);
+  const Matrix hash_queries = transform.TransformQueries(instance.queries);
+
+  Rng reference_rng(6);
+  const BucketJoinResult expected = ReferenceBucketJoin(
+      base, hash_data, instance.data, hash_queries, instance.queries, 0.5,
+      /*is_signed=*/true, params, &reference_rng);
+  Rng join_rng(6);
+  const BucketJoinResult got = LshBucketJoin(
+      family, instance.data, instance.data, instance.queries,
+      instance.queries, 0.8, 0.5, /*is_signed=*/true, params, &join_rng,
+      pool());
+  ExpectSameJoin(got, expected);
+  EXPECT_GT(expected.metrics.Get("lsh.join.verified_pairs"), 0u);
+
+  // The reference through the transformed family itself agrees too.
+  Rng family_rng(6);
+  ExpectSameJoin(got, ReferenceBucketJoin(family, instance.data,
+                                          instance.data, instance.queries,
+                                          instance.queries, 0.5, true,
+                                          params, &family_rng));
+}
+
+INSTANTIATE_TEST_SUITE_P(Pools, BucketJoinParityTest,
+                         ::testing::Values(0u, 1u, 4u),
+                         [](const auto& info) {
+                           return "threads" + std::to_string(info.param);
+                         });
+
+TEST(BucketJoinTest, TransformedKeysEqualBaseKeysOnTransformedRows) {
+  Rng rng(33);
+  const Matrix points = MakeUnitBallGaussian(50, 6, 0.2, &rng);
+  const DualBallTransform transform(6, 1.0);
+  const SimHashFamily base(transform.output_dim());
+  const TransformedLshFamily family(&transform, &base);
+  EXPECT_EQ(family.Split().transform, &transform);
+  EXPECT_EQ(family.Split().base, &base);
+  EXPECT_EQ(base.Split().transform, nullptr);
+  EXPECT_EQ(base.Split().base, &base);
+
+  Rng family_rng(7);
+  Rng base_rng(7);
+  const ConcatenatedLshFunction through_family(family, 12, &family_rng);
+  const ConcatenatedLshFunction through_base(base, 12, &base_rng);
+  for (std::size_t i = 0; i < points.rows(); ++i) {
+    const auto row = points.Row(i);
+    EXPECT_EQ(through_family.HashData(row),
+              through_base.HashData(transform.TransformData(row)));
+    EXPECT_EQ(through_family.HashQuery(row),
+              through_base.HashQuery(transform.TransformQuery(row)));
+  }
 }
 
 TEST(RhoTest, L2AlshNumericDecreasesWithS) {

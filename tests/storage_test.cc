@@ -11,10 +11,13 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "linalg/quantized.h"
 #include "lsh/bucket_join.h"
 #include "lsh/simhash.h"
 #include "lsh/tables.h"
@@ -358,6 +361,64 @@ TEST_F(StorageTest, EngineSnapshotCorruptTreeSectionIsDataLoss) {
       << warm.status().ToString();
 }
 
+// Rewrites the snapshot at `path` with section `id` replaced by
+// `payload` (same version); the rewritten file is CRC-valid throughout.
+void ReplaceSection(const std::string& path, std::uint32_t id,
+                    std::span<const unsigned char> payload) {
+  auto reader = storage::SnapshotReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<std::pair<storage::SectionEntry, std::vector<unsigned char>>>
+      sections;
+  for (const storage::SectionEntry& entry : reader->sections()) {
+    auto bytes = reader->ReadSection(entry.id);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    sections.emplace_back(entry, *std::move(bytes));
+  }
+  auto writer = storage::SnapshotWriter::Create(path);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  for (const auto& [entry, bytes] : sections) {
+    ASSERT_TRUE(writer
+                    ->WriteSection(entry.id, entry.version,
+                                   entry.id == id
+                                       ? payload
+                                       : std::span<const unsigned char>(bytes))
+                    .ok());
+  }
+  ASSERT_TRUE(writer->Finish().ok());
+}
+
+// A CRC-valid TREE section whose counts would wrap a 64-bit size
+// product (2^61 point-order entries x 8 bytes, 2^59 nodes x 96 bytes)
+// must be rejected as kDataLoss before any allocation, not throw
+// std::length_error out of the warm start.
+TEST_F(StorageTest, EngineSnapshotWrappingTreeCountsAreDataLoss) {
+  const std::size_t dim = 8;
+  auto cold = Engine::Create(RandomMatrix(64, dim, 11), SmallEngineOptions());
+  ASSERT_TRUE(cold.ok());
+  ASSERT_TRUE((*cold)->EnsureIndex(QueryAlgo::kBallTree).ok());
+  const std::string dir = TempPath("engine_wrapping_tree_snap");
+  ASSERT_TRUE((*cold)->SaveSnapshot(dir).ok());
+  const std::string path = dir + "/snapshot.ips";
+
+  const std::uint64_t node_count = std::uint64_t{1} << 59;
+  const std::uint64_t order_count = std::uint64_t{1} << 61;
+  for (const auto& [num_nodes, order_size] :
+       {std::pair{node_count, std::uint64_t{0}},
+        std::pair{std::uint64_t{0}, order_count}}) {
+    storage::PayloadWriter tree;
+    tree.PutU64(dim);        // cols
+    tree.PutI32(0);          // root
+    tree.PutU64(num_nodes);  // 2^59 x (32 + 8 x 8) bytes wraps to 0
+    if (num_nodes == 0) tree.PutU64(order_size);  // 2^61 x 8 wraps to 0
+    ReplaceSection(path, storage::kSectionTree, tree.bytes());
+    auto warm = Engine::CreateFromSnapshot(dir);
+    ASSERT_FALSE(warm.ok());
+    EXPECT_EQ(warm.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(warm.status().message().find("TREE"), std::string::npos)
+        << warm.status().ToString();
+  }
+}
+
 TEST_F(StorageTest, MissingSnapshotDirectoryIsNotFound) {
   auto warm = Engine::CreateFromSnapshot(TempPath("no_such_dir"));
   EXPECT_EQ(warm.status().code(), StatusCode::kNotFound);
@@ -452,6 +513,106 @@ TEST_F(StorageTest, BlockedJoinEqualsMonolithicJoin) {
   }
   // The thresholds were chosen so the join actually joins something.
   EXPECT_GT(matched, 0u);
+}
+
+// The four lsh.join.* counters of a blocked join sum to the monolithic
+// run's, and satisfy candidate == verified + duplicate + prefiltered:
+// with explicit 128-row blocks, with an explicit 100-row size and with a
+// derived size (both rounded down to whole 32-row quantization blocks).
+TEST_F(StorageTest, BlockedJoinCountersEqualMonolithicCounters) {
+  const std::size_t dim = 16;
+  const Matrix data = RandomMatrix(512, dim, 13);
+  const Matrix queries = RandomMatrix(256, dim, 14);
+  const std::string data_path = TempPath("join_counter_data.ips");
+  const std::string queries_path = TempPath("join_counter_queries.ips");
+  ASSERT_TRUE(storage::SaveMatrixSnapshot(data, data_path).ok());
+  ASSERT_TRUE(storage::SaveMatrixSnapshot(queries, queries_path).ok());
+
+  const SimHashFamily family(dim);
+  storage::BlockedJoinOptions options;
+  options.params = {.k = 3, .l = 6};
+  options.s_threshold = 2.0;
+  options.cs_threshold = 0.5;
+  options.seed = 99;
+  Rng rng(options.seed);
+  const BucketJoinResult monolithic = LshBucketJoin(
+      family, data, data, queries, queries, options.s_threshold,
+      options.cs_threshold, options.is_signed, options.params, &rng);
+
+  // 100 rows' worth of working set derives 96-row blocks.
+  const std::size_t derived_budget =
+      100 * BucketJoiner::WorkingSetBytesPerRow(dim, options.params.l);
+  struct Case {
+    std::size_t block_rows;
+    std::size_t budget;
+    std::size_t resolved;
+  };
+  for (const Case& c : {Case{128, options.memory_budget_bytes, 128},
+                        Case{100, options.memory_budget_bytes, 96},
+                        Case{0, derived_budget, 96}}) {
+    options.block_rows = c.block_rows;
+    options.memory_budget_bytes = c.budget;
+    storage::BlockedJoinStats stats;
+    auto blocked = storage::BlockedBucketJoin(family, data_path,
+                                              queries_path, options, &stats);
+    ASSERT_TRUE(blocked.ok()) << blocked.status().ToString();
+    EXPECT_GT(stats.data_blocks, 1u);
+    EXPECT_EQ(stats.block_rows, c.resolved);
+    EXPECT_EQ(blocked->per_query, monolithic.per_query);
+    const MetricSet& m = blocked->metrics;
+    for (const char* name :
+         {"lsh.join.candidate_pairs", "lsh.join.verified_pairs",
+          "lsh.join.duplicate_pairs", "lsh.join.pairs_prefiltered"}) {
+      EXPECT_EQ(m.Get(name), monolithic.metrics.Get(name))
+          << name << " with block_rows " << stats.block_rows;
+    }
+    EXPECT_GT(m.Get("lsh.join.pairs_prefiltered"), 0u);
+    EXPECT_EQ(m.Get("lsh.join.candidate_pairs"),
+              m.Get("lsh.join.verified_pairs") +
+                  m.Get("lsh.join.duplicate_pairs") +
+                  m.Get("lsh.join.pairs_prefiltered"));
+  }
+}
+
+// With many more tables than columns the bucket tables, not the rows,
+// dominate the working set: the derived block must still fit the budget.
+// Its working set is at least both rows plus a key and a row index per
+// data entry and a key per query entry, whatever the layout.
+TEST_F(StorageTest, BlockedJoinBlocksFitBudgetWithManyTables) {
+  const std::size_t dim = 4;
+  const Matrix data = RandomMatrix(4096, dim, 18);
+  const Matrix queries = RandomMatrix(256, dim, 19);
+  const std::string data_path = TempPath("many_tables_data.ips");
+  const std::string queries_path = TempPath("many_tables_queries.ips");
+  ASSERT_TRUE(storage::SaveMatrixSnapshot(data, data_path).ok());
+  ASSERT_TRUE(storage::SaveMatrixSnapshot(queries, queries_path).ok());
+
+  const SimHashFamily family(dim);
+  storage::BlockedJoinOptions options;
+  options.memory_budget_bytes = 1u << 20;
+  options.params = {.k = 8, .l = 64};
+  options.s_threshold = 2.0;
+  options.cs_threshold = 0.5;
+  options.seed = 21;
+  storage::BlockedJoinStats stats;
+  auto blocked = storage::BlockedBucketJoin(family, data_path, queries_path,
+                                            options, &stats);
+  ASSERT_TRUE(blocked.ok()) << blocked.status().ToString();
+
+  const std::size_t min_bytes_per_row =
+      2 * dim * sizeof(double) +
+      options.params.l * (2 * sizeof(std::uint64_t) + sizeof(std::uint32_t));
+  EXPECT_LE(stats.block_rows * min_bytes_per_row,
+            options.memory_budget_bytes)
+      << "block of " << stats.block_rows << " rows";
+  EXPECT_EQ(stats.block_rows % QuantizedMatrix::kRowsPerBlock, 0u);
+  EXPECT_GT(stats.data_blocks, 1u);
+
+  Rng rng(options.seed);
+  const BucketJoinResult monolithic = LshBucketJoin(
+      family, data, data, queries, queries, options.s_threshold,
+      options.cs_threshold, options.is_signed, options.params, &rng);
+  EXPECT_EQ(blocked->per_query, monolithic.per_query);
 }
 
 TEST_F(StorageTest, BlockedJoinValidatesInputs) {
