@@ -35,7 +35,6 @@
 #include "serve/feedback.h"
 #include "serve/query_engine.h"
 #include "serve/request.h"
-#include "serve/serve_stats.h"
 #include "serve/sharded_engine.h"
 #include "util/failpoint.h"
 #include "util/stats.h"
@@ -58,6 +57,8 @@ struct PolicyResult {
   std::size_t dot_products_total = 0;
   std::size_t answered = 0;
   bool meets_all_targets = false;
+  /// Answered requests per path, indexed by QueryAlgo.
+  std::vector<std::size_t> selected = std::vector<std::size_t>(kNumQueryAlgos);
 };
 
 struct WorkloadResult {
@@ -107,7 +108,7 @@ QueryOptions RequestFor(std::size_t i) {
 PolicyResult ScoreStream(const Engine& engine, const Matrix& data,
                          const Matrix& queries, const std::string& name,
                          std::optional<QueryAlgo> forced,
-                         QueryPrecision precision, ServeMetrics* metrics) {
+                         QueryPrecision precision) {
   PolicyResult result;
   result.name = name;
   double recall_sum = 0.0;
@@ -126,7 +127,7 @@ PolicyResult ScoreStream(const Engine& engine, const Matrix& data,
     if (!response.ok()) continue;  // forced path can't answer this request
     ++result.answered;
     result.dot_products_total += response->stats.dot_products;
-    if (metrics != nullptr) metrics->Record(response->stats);
+    ++result.selected[static_cast<std::size_t>(response->stats.algorithm)];
     std::size_t hits = 0;
     for (const auto& truth : exact) {
       for (const auto& match : response->matches) {
@@ -160,13 +161,13 @@ PolicyResult ScoreStream(const Engine& engine, const Matrix& data,
 }
 
 PolicyResult RunPolicy(const Engine& engine, const Matrix& data,
-                       const Matrix& queries, std::optional<QueryAlgo> forced,
-                       ServeMetrics* metrics) {
+                       const Matrix& queries,
+                       std::optional<QueryAlgo> forced) {
   const std::string name = forced.has_value()
                                ? std::string(QueryAlgoName(*forced))
                                : std::string("planner");
   return ScoreStream(engine, data, queries, name, forced,
-                     QueryPrecision::kAuto, metrics);
+                     QueryPrecision::kAuto);
 }
 
 // Pushes the workload through the BatchScheduler concurrently and
@@ -237,18 +238,11 @@ WorkloadResult RunWorkload(const std::string& name, const Matrix& data,
 
   WorkloadResult result;
   result.name = name;
-  ServeMetrics planner_metrics;
-  result.policies.push_back(
-      RunPolicy(**engine, data, queries, std::nullopt, &planner_metrics));
+  result.policies.push_back(RunPolicy(**engine, data, queries, std::nullopt));
+  result.planner_selection = result.policies.back().selected;
   for (QueryAlgo algo : {QueryAlgo::kBruteForce, QueryAlgo::kBallTree,
                          QueryAlgo::kLsh, QueryAlgo::kSketch}) {
-    result.policies.push_back(
-        RunPolicy(**engine, data, queries, algo, nullptr));
-  }
-  result.planner_selection.resize(kNumQueryAlgos);
-  for (std::size_t a = 0; a < kNumQueryAlgos; ++a) {
-    result.planner_selection[a] =
-        planner_metrics.SelectionCount(static_cast<QueryAlgo>(a));
+    result.policies.push_back(RunPolicy(**engine, data, queries, algo));
   }
   RunConcurrent(**engine, queries, &result);
 
@@ -830,10 +824,10 @@ QosSectionResult RunQosSection(Rng* rng) {
 
   result.policies.push_back(ScoreStream(*adaptive_engine, data, queries,
                                         "adaptive", std::nullopt,
-                                        QueryPrecision::kAuto, nullptr));
+                                        QueryPrecision::kAuto));
   result.policies.push_back(ScoreStream(*static_engine, data, queries,
                                         "static", std::nullopt,
-                                        QueryPrecision::kAuto, nullptr));
+                                        QueryPrecision::kAuto));
   const FeedbackCounters feedback = adaptive_engine->feedback().counters();
   result.feedback_audits = feedback.audits;
   result.feedback_evictions = feedback.evictions;
@@ -857,7 +851,7 @@ QosSectionResult RunQosSection(Rng* rng) {
     const std::string name = std::string(QueryAlgoName(algo)) + "/" +
                              std::string(QueryPrecisionName(precision));
     result.policies.push_back(ScoreStream(*static_engine, data, queries, name,
-                                          algo, precision, nullptr));
+                                          algo, precision));
   }
 
   // Gate (a): the adaptive planner meets every target group across the

@@ -75,18 +75,18 @@ int main() {
 
   auto evaluate = [&](const ips::MipsIndex& index, bool unsigned_scores) {
     std::size_t correct = 0;
-    const std::size_t before = index.InnerProductsEvaluated();
+    std::size_t total_products = 0;
     ips::WallTimer timer;
     for (std::size_t u = 0; u < kUsers; ++u) {
       ips::JoinSpec engine_spec = spec;
       engine_spec.is_signed = !unsigned_scores;
-      const auto match = index.Search(users.Row(u), engine_spec);
+      ips::QueryStats stats;
+      const auto match = index.Search(users.Row(u), engine_spec, &stats);
+      total_products += stats.dot_products;
       if (match.has_value() && match->index == truth[u]) ++correct;
     }
     const double ms = timer.Millis();
-    const double products =
-        static_cast<double>(index.InnerProductsEvaluated() - before) /
-        kUsers;
+    const double products = static_cast<double>(total_products) / kUsers;
     table.AddRow({index.Name(),
                   ips::FormatFixed(static_cast<double>(correct) / kUsers, 3),
                   ips::FormatFixed(products, 1), ips::FormatFixed(ms, 2)});

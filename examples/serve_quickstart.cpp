@@ -13,11 +13,13 @@
 // requests complete within the deadline (the serving SLO this example
 // demonstrates).
 
+#include <array>
 #include <cstdlib>
 #include <fstream>
 #include <future>
 #include <iostream>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,10 +29,11 @@
 #include "rng/random.h"
 #include "serve/batch_scheduler.h"
 #include "serve/engine.h"
-#include "serve/serve_stats.h"
 #include "serve/sharded_engine.h"
 #include "util/failpoint.h"
+#include "util/stats.h"
 #include "util/status.h"
+#include "util/table.h"
 
 namespace {
 
@@ -99,8 +102,11 @@ int main() {
   }
 
   // 4. Collect answers; every future resolves (deadline, shed, or OK).
-  ips::ServeMetrics metrics;
+  //    Each answer's QueryStats says which path served it, what it
+  //    cost, and how long it took.
   std::size_t ok_count = 0, within_deadline = 0, failed = 0;
+  std::array<std::size_t, ips::kNumQueryAlgos> requests{}, dots{};
+  std::vector<double> latencies_ms;
   for (auto& future : futures) {
     const auto result = future.get();
     if (!result.ok()) {
@@ -108,7 +114,10 @@ int main() {
       continue;
     }
     ++ok_count;
-    metrics.Record(result->stats);
+    const auto slot = static_cast<std::size_t>(result->stats.algorithm);
+    ++requests[slot];
+    dots[slot] += result->stats.dot_products;
+    latencies_ms.push_back(result->stats.TotalSeconds() * 1e3);
     if (result->stats.deadline_met) ++within_deadline;
   }
   scheduler.Drain();
@@ -121,8 +130,18 @@ int main() {
             << 100.0 * within_fraction << "%)\n\n";
 
   // 5. Per-algorithm selection counts and latency, via util/table.
-  metrics.ToTable().PrintMarkdown(std::cout);
-  const auto latency = metrics.LatencySummaryMillis();
+  ips::TablePrinter table({"algorithm", "requests", "mean dots"});
+  for (std::size_t slot = 0; slot < ips::kNumQueryAlgos; ++slot) {
+    if (requests[slot] == 0) continue;
+    table.AddRow(
+        {std::string(ips::QueryAlgoName(static_cast<ips::QueryAlgo>(slot))),
+         ips::Format(requests[slot]),
+         ips::FormatFixed(static_cast<double>(dots[slot]) /
+                              static_cast<double>(requests[slot]),
+                          1)});
+  }
+  table.PrintMarkdown(std::cout);
+  const ips::Summary latency = ips::Summarize(std::move(latencies_ms));
   std::cout << "\nlatency (ms): mean=" << latency.mean
             << " min=" << latency.min << " max=" << latency.max << "\n";
 
@@ -182,8 +201,8 @@ int main() {
                        ips::FireEvery{1});
 
   constexpr std::size_t kDegradedRequests = 200;
-  ips::ServeMetrics degraded_metrics;
-  std::size_t degraded_ok = 0, degraded_within = 0;
+  std::size_t degraded_ok = 0, degraded_within = 0, partial = 0;
+  std::size_t shards_failed = 0, shards_hedged = 0;
   for (std::size_t i = 0; i < kDegradedRequests; ++i) {
     std::vector<double> query(kDim);
     for (double& v : query) v = rng.NextGaussian();
@@ -195,9 +214,11 @@ int main() {
     const auto result = sharded->Query({query, request, context});
     if (!result.ok()) continue;
     ++degraded_ok;
-    // RecordResult counts partial answers separately from clean ones,
-    // so the dashboard distinguishes "fast" from "fast but degraded".
-    degraded_metrics.RecordResult(*result);
+    // Partial answers are counted apart from clean ones, so the report
+    // distinguishes "fast" from "fast but degraded".
+    if (result->partial) ++partial;
+    shards_failed += result->stats.shards_failed;
+    shards_hedged += result->stats.shards_hedged;
     if (result->stats.deadline_met) ++degraded_within;
   }
   ips::Failpoints::Disarm("serve/shard/query/2");
@@ -208,9 +229,9 @@ int main() {
   std::cout << "served " << degraded_ok << "/" << kDegradedRequests
             << " requests, " << degraded_within << " within the deadline ("
             << 100.0 * degraded_within_fraction << "%)\n"
-            << "partial answers: " << degraded_metrics.PartialCount()
-            << ", shard calls lost: " << degraded_metrics.ShardsFailedTotal()
-            << ", hedged: " << degraded_metrics.ShardsHedgedTotal() << "\n"
+            << "partial answers: " << partial
+            << ", shard calls lost: " << shards_failed
+            << ", hedged: " << shards_hedged << "\n"
             << "shard 2 breaker: "
             << (sharded->breaker_state(2) ==
                         ips::ShardedEngine::BreakerState::kOpen
@@ -223,7 +244,7 @@ int main() {
     std::cerr << "FAIL: degraded mode broke the serving SLO\n";
     return 1;
   }
-  if (degraded_metrics.PartialCount() != kDegradedRequests) {
+  if (partial != kDegradedRequests) {
     std::cerr << "FAIL: lost shard coverage was not surfaced as partial\n";
     return 1;
   }

@@ -50,6 +50,17 @@ void PublishQuery(std::unique_ptr<Trace> owned, QueryStats local,
   if (stats != nullptr) *stats = std::move(local);
 }
 
+// Search's accounting: `scored` candidates, one exact inner product
+// each, written over *stats when the caller asked for it.
+void PublishSearch(QueryAlgo algorithm, std::size_t scored,
+                   QueryStats* stats) {
+  if (stats == nullptr) return;
+  *stats = QueryStats{};
+  stats->algorithm = algorithm;
+  stats->candidates = scored;
+  stats->dot_products = scored;
+}
+
 std::optional<SearchMatch> FilterByThreshold(const SearchMatch& best,
                                              const JoinSpec& spec) {
   if (best.value >= spec.cs()) return best;
@@ -159,17 +170,17 @@ StatusOr<std::unique_ptr<BruteForceIndex>> BruteForceIndex::Create(
 }
 
 std::optional<SearchMatch> BruteForceIndex::Search(
-    std::span<const double> q, const JoinSpec& spec) const {
+    std::span<const double> q, const JoinSpec& spec, QueryStats* stats) const {
   SearchMatch best;
   best.value = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < data_->rows(); ++i) {
     const double score = Score(kernels::Dot(data_->Row(i), q), spec);
-    ++evaluated_;
     if (score > best.value) {
       best.value = score;
       best.index = i;
     }
   }
+  PublishSearch(QueryAlgo::kBruteForce, data_->rows(), stats);
   return FilterByThreshold(best, spec);
 }
 
@@ -278,10 +289,11 @@ StatusOr<std::unique_ptr<TreeMipsIndex>> TreeMipsIndex::Restore(
 }
 
 std::optional<SearchMatch> TreeMipsIndex::Search(std::span<const double> q,
-                                                 const JoinSpec& spec) const {
+                                                 const JoinSpec& spec,
+                                                 QueryStats* stats) const {
   const MipsResult result =
       spec.is_signed ? tree_.QueryMax(q) : tree_.QueryMaxAbs(q);
-  evaluated_ += result.evaluated;
+  PublishSearch(QueryAlgo::kBallTree, result.evaluated, stats);
   SearchMatch best;
   best.index = result.index;
   best.value = Score(kernels::Dot(data_->Row(result.index), q), spec);
@@ -440,7 +452,8 @@ StatusOr<std::unique_ptr<LshMipsIndex>> LshMipsIndex::CreateFromBuckets(
 }
 
 std::optional<SearchMatch> LshMipsIndex::Search(std::span<const double> q,
-                                                const JoinSpec& spec) const {
+                                                const JoinSpec& spec,
+                                                QueryStats* stats) const {
   std::vector<double> transformed;
   std::span<const double> probe = q;
   if (transform_ != nullptr) {
@@ -448,13 +461,11 @@ std::optional<SearchMatch> LshMipsIndex::Search(std::span<const double> q,
     probe = transformed;
   }
   const std::vector<std::size_t> candidates = tables_->Query(probe);
-  ++queries_;
-  candidates_ += candidates.size();
+  PublishSearch(QueryAlgo::kLsh, candidates.size(), stats);
   SearchMatch best;
   best.value = -std::numeric_limits<double>::infinity();
   for (std::size_t index : candidates) {
     const double score = Score(kernels::Dot(data_->Row(index), q), spec);
-    ++evaluated_;
     if (score > best.value) {
       best.value = score;
       best.index = index;
@@ -595,12 +606,6 @@ std::vector<std::size_t> LshMipsIndex::Candidates(
   return tables_->Query(q);
 }
 
-double LshMipsIndex::MeanCandidates() const {
-  return queries_ == 0 ? 0.0
-                       : static_cast<double>(candidates_) /
-                             static_cast<double>(queries_);
-}
-
 namespace {
 
 // The §4.3 argmax tree answers exactly one query shape: unsigned
@@ -684,12 +689,20 @@ StatusOr<std::vector<QueryResult>> SketchIndex::BatchQuery(
                           /*fallback=*/false);
 }
 
+Status SketchIndex::ValidateSearch(const JoinSpec& spec) const {
+  if (spec.is_signed) {
+    return Status::InvalidArgument(
+        "the Section 4.3 sketch index answers unsigned queries only");
+  }
+  return Status::Ok();
+}
+
 std::optional<SearchMatch> SketchIndex::Search(std::span<const double> q,
-                                               const JoinSpec& spec) const {
-  IPS_CHECK(!spec.is_signed)
-      << "the Section 4.3 sketch index answers unsigned queries only";
+                                               const JoinSpec& spec,
+                                               QueryStats* stats) const {
+  IPS_CHECK_OK(ValidateSearch(spec));
   const std::size_t index = sketch_.RecoverArgmax(q);
-  ++evaluated_;
+  PublishSearch(QueryAlgo::kSketch, 1, stats);
   SearchMatch best;
   best.index = index;
   best.value = std::abs(kernels::Dot(data_->Row(index), q));

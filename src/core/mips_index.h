@@ -63,18 +63,29 @@ class MipsIndex {
 
   /// Best match the index can certify for query `q` under `spec`, with
   /// its exact score; nullopt when no candidate reaches spec.cs().
-  virtual std::optional<SearchMatch> Search(std::span<const double> q,
-                                            const JoinSpec& spec) const = 0;
+  /// Like Query, Search is const, mutates nothing and is safe to call
+  /// from many threads. When `stats` is non-null it is overwritten with
+  /// this call's work: `dot_products` counts the exact inner products
+  /// the search scored (the join's work measure; IndexJoin sums it),
+  /// `candidates` the data points it scored. A spec the index cannot
+  /// answer (ValidateSearch) is a precondition failure and aborts.
+  virtual std::optional<SearchMatch> Search(
+      std::span<const double> q, const JoinSpec& spec,
+      QueryStats* stats = nullptr) const = 0;
 
-  /// Exact inner products evaluated since construction (work measure).
-  virtual std::size_t InnerProductsEvaluated() const = 0;
+  /// Whether Search can answer `spec`: kInvalidArgument naming the rule
+  /// when it cannot (the sketch index's Section 4.3 argmax is unsigned
+  /// only, the norm-range index signed only). Search IPS_CHECKs this;
+  /// IndexJoinChecked returns it.
+  virtual Status ValidateSearch(const JoinSpec& /*spec*/) const {
+    return Status::Ok();
+  }
 
   /// Unified top-k entry point (core::QueryOptions / core::QueryStats,
-  /// see DESIGN.md §8). Unlike Search, this path is thread-safe: it is
-  /// const and mutates no index-local counters — work is reported
-  /// through `stats` and the global MetricsRegistry. Returns
-  /// kInvalidArgument for options the path cannot honor (e.g. signed
-  /// queries on the sketch path, k > 1 on the sketch path).
+  /// see DESIGN.md §8). Const and thread-safe: work is reported through
+  /// `stats` and the global MetricsRegistry. Returns kInvalidArgument
+  /// for options the path cannot honor (e.g. unsigned queries on the
+  /// ball tree, exact precision on the sketch index).
   ///
   /// When options.trace is set and `trace` is null, a fresh per-query
   /// Trace is allocated and published via stats->trace; callers holding
@@ -122,8 +133,8 @@ class BruteForceIndex : public MipsIndex {
   std::string Name() const override { return "brute-force"; }
   std::size_t dim() const override { return data_->cols(); }
   std::optional<SearchMatch> Search(std::span<const double> q,
-                                    const JoinSpec& spec) const override;
-  std::size_t InnerProductsEvaluated() const override { return evaluated_; }
+                                    const JoinSpec& spec,
+                                    QueryStats* stats = nullptr) const override;
   /// Precision: kAuto / kExact run the exact scan; kQuantizedRerank
   /// runs the two-stage int8 estimate + exact re-rank; kSketchFilter is
   /// rejected (filtered scans live on the sketch index).
@@ -144,7 +155,6 @@ class BruteForceIndex : public MipsIndex {
  private:
   const Matrix* data_;
   QuantizedMatrix quant_;
-  mutable std::size_t evaluated_ = 0;
 };
 
 /// Exact ball-tree branch-and-bound (tree/mips_tree.h).
@@ -166,8 +176,8 @@ class TreeMipsIndex : public MipsIndex {
   std::string Name() const override { return "ball-tree"; }
   std::size_t dim() const override { return data_->cols(); }
   std::optional<SearchMatch> Search(std::span<const double> q,
-                                    const JoinSpec& spec) const override;
-  std::size_t InnerProductsEvaluated() const override { return evaluated_; }
+                                    const JoinSpec& spec,
+                                    QueryStats* stats = nullptr) const override;
   /// Signed queries only (the tree's unsigned bound is looser).
   [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
       std::span<const double> q, const QueryOptions& options,
@@ -187,7 +197,6 @@ class TreeMipsIndex : public MipsIndex {
 
   const Matrix* data_;
   MipsBallTree tree_;
-  mutable std::size_t evaluated_ = 0;
 };
 
 /// (A)LSH index: optional transform into hash space, (K, L) tables on
@@ -223,8 +232,8 @@ class LshMipsIndex : public MipsIndex {
   std::string Name() const override { return name_; }
   std::size_t dim() const override { return data_->cols(); }
   std::optional<SearchMatch> Search(std::span<const double> q,
-                                    const JoinSpec& spec) const override;
-  std::size_t InnerProductsEvaluated() const override { return evaluated_; }
+                                    const JoinSpec& spec,
+                                    QueryStats* stats = nullptr) const override;
   /// The full hash -> bucket -> dedup -> verify -> top-k pipeline under
   /// one "lsh" span when traced. Precision: kAuto / kExact verify every
   /// candidate exactly; kQuantizedRerank prunes large candidate sets
@@ -238,9 +247,6 @@ class LshMipsIndex : public MipsIndex {
   /// loaded once and scored against every query that bucketed it.
   [[nodiscard]] StatusOr<std::vector<QueryResult>> BatchQuery(
       const Matrix& queries, const QueryOptions& options) const override;
-
-  /// Mean number of candidates per query so far (work diagnostic).
-  double MeanCandidates() const;
 
   /// Raw candidate set for `q` (data row indices), for callers that
   /// re-rank themselves (e.g. top-k retrieval, core/top_k.h).
@@ -259,9 +265,6 @@ class LshMipsIndex : public MipsIndex {
   std::unique_ptr<LshTables> tables_;
   QuantizedMatrix quant_;
   std::string name_;
-  mutable std::size_t evaluated_ = 0;
-  mutable std::size_t queries_ = 0;
-  mutable std::size_t candidates_ = 0;
 };
 
 /// One validated configuration for the whole sketch layer. This is the
@@ -298,8 +301,9 @@ class SketchIndex : public MipsIndex {
   std::size_t dim() const override { return data_->cols(); }
   /// Search keeps the Section 4.3 contract: unsigned only (CHECKs).
   std::optional<SearchMatch> Search(std::span<const double> q,
-                                    const JoinSpec& spec) const override;
-  std::size_t InnerProductsEvaluated() const override { return evaluated_; }
+                                    const JoinSpec& spec,
+                                    QueryStats* stats = nullptr) const override;
+  Status ValidateSearch(const JoinSpec& spec) const override;
   /// Unsigned k=1 with kAuto precision descends the argmax tree;
   /// everything else (any sign, any k, or forced kSketchFilter) runs
   /// the filter's estimate + exact re-rank. kExact and kQuantizedRerank
@@ -321,7 +325,6 @@ class SketchIndex : public MipsIndex {
   SketchConfig config_;
   SketchMipsIndex sketch_;
   InnerProductFilter filter_;
-  mutable std::size_t evaluated_ = 0;
 };
 
 }  // namespace ips

@@ -12,6 +12,18 @@
 #include "util/check.h"
 
 namespace ips {
+namespace {
+
+// The bucket bound max_norm * ||q|| caps signed scores only.
+Status RequireSigned(bool is_signed) {
+  if (!is_signed) {
+    return Status::InvalidArgument(
+        "norm-range index answers signed queries only");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 NormRangeIndex::NormRangeIndex(const Matrix& data,
                                const NormRangeParams& params, Rng* rng)
@@ -45,21 +57,31 @@ NormRangeIndex::NormRangeIndex(const Matrix& data,
   }
 }
 
+Status NormRangeIndex::ValidateSearch(const JoinSpec& spec) const {
+  return RequireSigned(spec.is_signed);
+}
+
 std::optional<SearchMatch> NormRangeIndex::Search(std::span<const double> q,
-                                                  const JoinSpec& spec) const {
-  IPS_CHECK(spec.is_signed) << "NormRangeIndex answers signed MIPS";
+                                                  const JoinSpec& spec,
+                                                  QueryStats* stats) const {
+  IPS_CHECK_OK(ValidateSearch(spec));
   const double query_norm = kernels::Norm(q);
-  if (query_norm == 0.0) return std::nullopt;
+  if (query_norm == 0.0) {
+    if (stats != nullptr) *stats = QueryStats{};
+    return std::nullopt;
+  }
   const std::vector<double> direction = kernels::Normalized(q);
 
   SearchMatch best;
   best.value = -std::numeric_limits<double>::infinity();
+  std::size_t scored = 0;
+  std::size_t pruned = 0;
   for (const Bucket& bucket : buckets_) {
     const double bucket_bound = bucket.max_norm * query_norm;
     // Prune: nothing in this (or any later) bucket can beat both the
     // current best and the cs threshold.
     if (bucket_bound <= std::max(best.value, spec.cs())) {
-      buckets_pruned_ += 1;
+      pruned = 1;
       break;
     }
     const double local_cosine =
@@ -67,7 +89,7 @@ std::optional<SearchMatch> NormRangeIndex::Search(std::span<const double> q,
     auto consider = [&](std::size_t position) {
       const std::uint32_t member = bucket.members[position];
       const double value = kernels::Dot(data_->Row(member), q);
-      ++evaluated_;
+      ++scored;
       if (value > best.value) {
         best.value = value;
         best.index = member;
@@ -85,6 +107,12 @@ std::optional<SearchMatch> NormRangeIndex::Search(std::span<const double> q,
         consider(position);
       }
     }
+  }
+  if (stats != nullptr) {
+    *stats = QueryStats{};
+    stats->candidates = scored;
+    stats->dot_products = scored;
+    stats->metrics.Set("normrange.buckets_pruned", pruned);
   }
   if (best.value >= spec.cs()) return best;
   return std::nullopt;
@@ -108,10 +136,7 @@ StatusOr<std::vector<SearchMatch>> NormRangeIndex::Query(
         "query dimension " + std::to_string(q.size()) +
         " != index dimension " + std::to_string(dim()));
   }
-  if (!options.is_signed) {
-    return Status::InvalidArgument(
-        "norm-range top-k answers signed queries only");
-  }
+  IPS_RETURN_IF_ERROR(RequireSigned(options.is_signed));
   std::unique_ptr<Trace> owned;
   if (options.trace && trace == nullptr) {
     owned = std::make_unique<Trace>(Name());

@@ -44,20 +44,19 @@ class NormRangeIndex : public MipsIndex {
 
   std::string Name() const override { return "norm-range(lemp)"; }
   std::size_t dim() const override { return data_->cols(); }
+  /// Signed only. Stats carry the "normrange.buckets_pruned" label: 1
+  /// when the scan stopped at a bucket bound, 0 otherwise.
   std::optional<SearchMatch> Search(std::span<const double> q,
-                                    const JoinSpec& spec) const override;
-  std::size_t InnerProductsEvaluated() const override { return evaluated_; }
+                                    const JoinSpec& spec,
+                                    QueryStats* stats = nullptr) const override;
+  Status ValidateSearch(const JoinSpec& spec) const override;
   /// Signed top-k over the norm-sorted buckets, pruning against the
-  /// k-th best score so far; unlike Search this path is const-clean
-  /// (no mutable counters) and reports through stats/"core.normrange.*".
+  /// k-th best score so far; reports through stats/"core.normrange.*".
   [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
       std::span<const double> q, const QueryOptions& options,
       QueryStats* stats = nullptr, Trace* trace = nullptr) const override;
 
   std::size_t num_buckets() const { return buckets_.size(); }
-
-  /// Buckets pruned (never opened) across all queries so far.
-  std::size_t BucketsPruned() const { return buckets_pruned_; }
 
  private:
   struct Bucket {
@@ -72,8 +71,6 @@ class NormRangeIndex : public MipsIndex {
   const Matrix* data_;
   NormRangeParams params_;
   std::vector<Bucket> buckets_;  // descending max_norm
-  mutable std::size_t evaluated_ = 0;
-  mutable std::size_t buckets_pruned_ = 0;
 };
 
 }  // namespace ips

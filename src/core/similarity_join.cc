@@ -45,6 +45,31 @@ void RecordIndexJoinRun(const JoinResult& result, std::size_t queries) {
   seconds->Observe(result.seconds);
 }
 
+// The exact argmax scan of both exact joins: answers queries
+// [begin, end) into result->per_query and returns the inner products
+// it evaluated (one per data row per query).
+std::size_t ScanExactChunk(const Matrix& data, const Matrix& queries,
+                           const JoinSpec& spec, std::size_t begin,
+                           std::size_t end, JoinResult* result) {
+  for (std::size_t qi = begin; qi < end; ++qi) {
+    const std::span<const double> q = queries.Row(qi);
+    SearchMatch best;
+    best.value = -std::numeric_limits<double>::infinity();
+    for (std::size_t di = 0; di < data.rows(); ++di) {
+      const double raw = kernels::Dot(data.Row(di), q);
+      const double score = spec.is_signed ? raw : std::abs(raw);
+      if (score > best.value) {
+        best.value = score;
+        best.index = di;
+      }
+    }
+    if (best.value >= spec.s) {
+      result->per_query[qi] = JoinMatch{qi, best.index, best.value};
+    }
+  }
+  return (end - begin) * data.rows();
+}
+
 }  // namespace
 
 Status ValidateJoinSpec(const JoinSpec& spec) {
@@ -69,25 +94,8 @@ JoinResult ExactJoin(const Matrix& data, const Matrix& queries,
   WallTimer timer;
   std::atomic<std::size_t> inner_products{0};
   ParallelFor(pool, queries.rows(), [&](std::size_t begin, std::size_t end) {
-    std::size_t local_products = 0;
-    for (std::size_t qi = begin; qi < end; ++qi) {
-      const std::span<const double> q = queries.Row(qi);
-      SearchMatch best;
-      best.value = -std::numeric_limits<double>::infinity();
-      for (std::size_t di = 0; di < data.rows(); ++di) {
-        const double raw = kernels::Dot(data.Row(di), q);
-        const double score = spec.is_signed ? raw : std::abs(raw);
-        ++local_products;
-        if (score > best.value) {
-          best.value = score;
-          best.index = di;
-        }
-      }
-      if (best.value >= spec.s) {
-        result.per_query[qi] = JoinMatch{qi, best.index, best.value};
-      }
-    }
-    inner_products += local_products;
+    inner_products +=
+        ScanExactChunk(data, queries, spec, begin, end, &result);
   });
   result.seconds = timer.Seconds();
   result.inner_products = inner_products.load();
@@ -100,15 +108,15 @@ JoinResult IndexJoin(const MipsIndex& index, const Matrix& queries,
   JoinResult result;
   result.per_query.resize(queries.rows());
   WallTimer timer;
-  const std::size_t products_before = index.InnerProductsEvaluated();
+  QueryStats stats;
   for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
-    const auto match = index.Search(queries.Row(qi), spec);
+    const auto match = index.Search(queries.Row(qi), spec, &stats);
+    result.inner_products += stats.dot_products;
     if (match.has_value()) {
       result.per_query[qi] = JoinMatch{qi, match->index, match->value};
     }
   }
   result.seconds = timer.Seconds();
-  result.inner_products = index.InnerProductsEvaluated() - products_before;
   RecordIndexJoinRun(result, queries.rows());
   return result;
 }
@@ -133,25 +141,8 @@ StatusOr<JoinResult> ExactJoinChecked(const Matrix& data,
       pool, queries.rows(),
       [&](std::size_t begin, std::size_t end) -> Status {
         IPS_FAILPOINT("core/exact-join-chunk");
-        std::size_t local_products = 0;
-        for (std::size_t qi = begin; qi < end; ++qi) {
-          const std::span<const double> q = queries.Row(qi);
-          SearchMatch best;
-          best.value = -std::numeric_limits<double>::infinity();
-          for (std::size_t di = 0; di < data.rows(); ++di) {
-            const double raw = kernels::Dot(data.Row(di), q);
-            const double score = spec.is_signed ? raw : std::abs(raw);
-            ++local_products;
-            if (score > best.value) {
-              best.value = score;
-              best.index = di;
-            }
-          }
-          if (best.value >= spec.s) {
-            result.per_query[qi] = JoinMatch{qi, best.index, best.value};
-          }
-        }
-        inner_products += local_products;
+        inner_products +=
+            ScanExactChunk(data, queries, spec, begin, end, &result);
         return Status::Ok();
       });
   IPS_RETURN_IF_ERROR(status);
@@ -165,6 +156,7 @@ StatusOr<JoinResult> IndexJoinChecked(const MipsIndex& index,
                                       const Matrix& queries,
                                       const JoinSpec& spec) {
   IPS_RETURN_IF_ERROR(ValidateJoinSpec(spec));
+  IPS_RETURN_IF_ERROR(index.ValidateSearch(spec));
   IPS_RETURN_IF_ERROR(ValidateNonEmpty(queries, "queries"));
   IPS_RETURN_IF_ERROR(ValidateFinite(queries, "queries"));
   IPS_RETURN_IF_ERROR(ValidateDims(queries, index.dim(), "queries"));

@@ -29,7 +29,8 @@ Status ValidateJoinSpec(const JoinSpec& spec);
 JoinResult ExactJoin(const Matrix& data, const Matrix& queries,
                      const JoinSpec& spec, ThreadPool* pool = nullptr);
 
-/// Approximate join driven by any MipsIndex: one Search per query.
+/// Approximate join driven by any MipsIndex: one Search per query;
+/// inner_products sums the calls' QueryStats::dot_products.
 JoinResult IndexJoin(const MipsIndex& index, const Matrix& queries,
                      const JoinSpec& spec);
 
@@ -43,8 +44,10 @@ StatusOr<JoinResult> ExactJoinChecked(const Matrix& data,
                                       const JoinSpec& spec,
                                       ThreadPool* pool = nullptr);
 
-/// Validated flavor of IndexJoin: rejects an invalid spec and queries
-/// that are empty, non-finite, or of the wrong dimension for `index`.
+/// Validated flavor of IndexJoin: rejects an invalid spec, a spec the
+/// index cannot search (MipsIndex::ValidateSearch, e.g. signed on the
+/// sketch index), and queries that are empty, non-finite, or of the
+/// wrong dimension for `index`.
 StatusOr<JoinResult> IndexJoinChecked(const MipsIndex& index,
                                       const Matrix& queries,
                                       const JoinSpec& spec);

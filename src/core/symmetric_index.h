@@ -42,9 +42,12 @@ class SymmetricMipsIndex : public MipsIndex {
 
   std::string Name() const override { return "symmetric-incoherent-lsh"; }
   std::size_t dim() const override { return data_->cols(); }
+  /// An exact self-match above cs is answered by the membership step
+  /// and costs no counted inner product; everything else is the inner
+  /// LSH search and its stats.
   std::optional<SearchMatch> Search(std::span<const double> q,
-                                    const JoinSpec& spec) const override;
-  std::size_t InnerProductsEvaluated() const override;
+                                    const JoinSpec& spec,
+                                    QueryStats* stats = nullptr) const override;
   /// Membership check (a "membership" span) followed by the inner LSH
   /// pipeline; an exact self-match the tables missed is spliced into
   /// the top-k.

@@ -40,7 +40,6 @@
 #include "serve/planner.h"
 #include "serve/query_engine.h"
 #include "serve/request.h"
-#include "serve/serve_stats.h"
 #include "sketch/filter.h"
 #include "sketch/sketch_mips.h"
 #include "util/status.h"

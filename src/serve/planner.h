@@ -32,8 +32,8 @@
 #include <optional>
 #include <string>
 
+#include "core/query.h"
 #include "linalg/matrix.h"
-#include "serve/serve_stats.h"
 #include "util/status.h"
 
 namespace ips {

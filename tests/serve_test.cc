@@ -28,7 +28,6 @@
 #include "serve/feedback.h"
 #include "serve/planner.h"
 #include "serve/request.h"
-#include "serve/serve_stats.h"
 #include "util/status.h"
 
 namespace ips {
@@ -224,6 +223,12 @@ TEST(EngineTest, StatsAccountForWork) {
   Rng rng(24);
   const auto engine = Engine::Create(SmallSpreadData(400, 8, &rng));
   ASSERT_TRUE(engine.ok());
+  const Counter* const selected_brute =
+      MetricsRegistry::Global().GetCounter("serve.engine.selected.brute");
+  const Counter* const selected_tree =
+      MetricsRegistry::Global().GetCounter("serve.engine.selected.tree");
+  const std::uint64_t brute_before = selected_brute->Value();
+  const std::uint64_t tree_before = selected_tree->Value();
   std::vector<double> q(8);
   for (double& v : q) v = rng.NextGaussian();
   QueryOptions request;
@@ -238,14 +243,12 @@ TEST(EngineTest, StatsAccountForWork) {
   ASSERT_TRUE(tree.ok());
   EXPECT_GE(tree->stats.dot_products, 3u);
   EXPECT_LE(tree->stats.dot_products, 400u);
-  ServeMetrics metrics;
-  metrics.Record(brute->stats);
-  metrics.Record(tree->stats);
-  EXPECT_EQ(metrics.TotalRequests(), 2u);
-  EXPECT_EQ(metrics.SelectionCount(QueryAlgo::kBruteForce), 1u);
-  EXPECT_EQ(metrics.SelectionCount(QueryAlgo::kBallTree), 1u);
-  EXPECT_EQ(metrics.TotalDotProducts(),
-            brute->stats.dot_products + tree->stats.dot_products);
+  // Each answer names its path, and the registry counted one selection
+  // per path.
+  EXPECT_EQ(brute->stats.algorithm, QueryAlgo::kBruteForce);
+  EXPECT_EQ(tree->stats.algorithm, QueryAlgo::kBallTree);
+  EXPECT_EQ(selected_brute->Value() - brute_before, 1u);
+  EXPECT_EQ(selected_tree->Value() - tree_before, 1u);
 }
 
 TEST(EngineTest, TracedLshQueryExportsFullSpanTree) {
