@@ -198,6 +198,7 @@ StatusOr<std::vector<SearchMatch>> BruteForceIndex::Query(
   QueryStats local;
   std::vector<SearchMatch> matches;
   if (options.precision == QueryPrecision::kQuantizedRerank) {
+    // The batch of one of BatchQuery's quantized path.
     local.algorithm = QueryAlgo::kBruteForce;
     matches = QueryQuantizedRerank(*data_, quant_, q, options, &local, t);
   } else {
@@ -217,13 +218,32 @@ StatusOr<std::vector<QueryResult>> BruteForceIndex::BatchQuery(
   }
   const std::size_t m = queries.rows();
   if (m == 0) return std::vector<QueryResult>();
-  if (options.precision == QueryPrecision::kQuantizedRerank) {
-    // Two-stage per query; the shared int8 code matrix (built once at
-    // construction) is the amortized state across the batch.
-    return RunPerQueryBatch(*this, queries, options, "brute.quant.batch",
-                            /*fallback=*/false);
-  }
   std::shared_ptr<Trace> batch_trace = MakeBatchTrace(options, Name());
+  if (options.precision == QueryPrecision::kQuantizedRerank) {
+    // The path Query takes as a batch of one: a single int8 tile pass
+    // over the code matrix estimates and selects for every member, then
+    // each member is re-ranked exactly.
+    std::vector<std::span<const double>> rows;
+    rows.reserve(m);
+    for (std::size_t i = 0; i < m; ++i) rows.push_back(queries.Row(i));
+    std::vector<QueryStats> stats(m);
+    std::vector<std::vector<SearchMatch>> matches;
+    {
+      TraceSpan span(batch_trace.get(), "brute.quant.batch");
+      matches = QueryQuantizedRerankBatch(*data_, quant_, rows, options,
+                                          stats, batch_trace.get());
+      span.AddCount("batch_queries", m);
+    }
+    std::vector<QueryResult> results(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      results[i].matches = std::move(matches[i]);
+      results[i].stats = std::move(stats[i]);
+      results[i].stats.algorithm = QueryAlgo::kBruteForce;
+      if (batch_trace != nullptr) results[i].stats.trace = batch_trace;
+    }
+    CountBatch(m, /*fallback=*/false);
+    return results;
+  }
   std::vector<kernels::TopKHeap> heaps;
   heaps.reserve(m);
   for (std::size_t i = 0; i < m; ++i) heaps.emplace_back(options.k);

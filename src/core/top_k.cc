@@ -14,13 +14,19 @@ std::vector<SearchMatch> KBest(std::vector<SearchMatch> scored,
                                std::size_t k) {
   // Score descending, then index ascending: equal scores always rank in
   // the same order, so results are stable across engines, thread counts,
-  // and planner A/B comparisons.
-  std::sort(scored.begin(), scored.end(),
-            [](const SearchMatch& a, const SearchMatch& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.index < b.index;
-            });
-  if (scored.size() > k) scored.resize(k);
+  // and planner A/B comparisons. The order is total, so selecting the k
+  // best first and sorting only them returns exactly the prefix a full
+  // sort would, in O(n + k log k) instead of O(n log n).
+  const auto better = [](const SearchMatch& a, const SearchMatch& b) {
+    if (a.value != b.value) return a.value > b.value;
+    return a.index < b.index;
+  };
+  if (scored.size() > k) {
+    std::nth_element(scored.begin(), scored.begin() + k, scored.end(),
+                     better);
+    scored.resize(k);
+  }
+  std::sort(scored.begin(), scored.end(), better);
   return scored;
 }
 
@@ -229,25 +235,55 @@ std::vector<SearchMatch> QueryQuantizedRerank(
     const Matrix& data, const QuantizedMatrix& qdata,
     std::span<const double> q, const QueryOptions& options,
     QueryStats* stats, Trace* trace) {
+  const std::span<const double> queries[] = {q};
+  std::vector<std::vector<SearchMatch>> matches = QueryQuantizedRerankBatch(
+      data, qdata, queries, options,
+      stats != nullptr ? std::span<QueryStats>(stats, 1)
+                       : std::span<QueryStats>(),
+      trace);
+  return std::move(matches.front());
+}
+
+std::vector<std::vector<SearchMatch>> QueryQuantizedRerankBatch(
+    const Matrix& data, const QuantizedMatrix& qdata,
+    std::span<const std::span<const double>> queries,
+    const QueryOptions& options, std::span<QueryStats> stats, Trace* trace) {
   IPS_CHECK_EQ(qdata.rows(), data.rows());
+  IPS_CHECK(stats.empty() || stats.size() == queries.size());
   const std::size_t n = data.rows();
   const std::size_t m =
       SurvivorCount(options.k, n, options.candidate_budget,
                     kQuantSurvivorMultiplier, kQuantSurvivorFloor);
-  std::vector<std::size_t> survivors;
+  IPS_CHECK_GE(m, 1u);
+  std::vector<kernels::TopKHeap> heaps(queries.size(), kernels::TopKHeap(m));
   {
     TraceSpan span(trace, "quant.estimate");
-    const QuantizedVector qq = QuantizeVector(q);
-    std::vector<double> estimates(n);
-    qdata.EstimateAll(qq, estimates);
-    survivors = TopEstimateIndices(estimates, m, !options.is_signed);
-    span.AddCount("points_estimated", n);
-    span.AddCount("survivors", survivors.size());
+    std::vector<QuantizedVector> quantized;
+    quantized.reserve(queries.size());
+    for (const std::span<const double> q : queries) {
+      quantized.push_back(QuantizeVector(q));
+    }
+    qdata.SelectTopEstimates(quantized, !options.is_signed, heaps);
+    std::size_t survivors = 0;
+    for (const kernels::TopKHeap& heap : heaps) survivors += heap.size();
+    span.AddCount("points_estimated", n * queries.size());
+    span.AddCount("survivors", survivors);
   }
   const QuantCounters& counters = QuantRegistryCounters();
-  return RerankSurvivors(data, q, survivors, n, kQuantEstimateDotEquivalent,
-                         "quant", counters.queries, counters.pruned,
-                         counters.rerank, options, stats, trace);
+  std::vector<std::vector<SearchMatch>> matches;
+  matches.reserve(queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    std::vector<std::size_t> survivors;
+    survivors.reserve(heaps[i].size());
+    for (const auto& entry : heaps[i].TakeSorted()) {
+      survivors.push_back(entry.index);
+    }
+    matches.push_back(RerankSurvivors(
+        data, queries[i], survivors, n, kQuantEstimateDotEquivalent, "quant",
+        counters.queries, counters.pruned, counters.rerank, options,
+        stats.empty() ? nullptr : &stats[i], trace));
+  }
+  return matches;
 }
 
 std::vector<SearchMatch> QueryFilteredRerank(

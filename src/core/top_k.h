@@ -107,11 +107,25 @@ std::vector<std::size_t> TopEstimateIndices(std::span<const double> estimates,
 /// "quant.estimate" / "quant.rerank" spans, fills the two-stage stats
 /// fields (candidates_pruned, rerank_exact_dots), and bumps the
 /// "core.quant.*" registry counters. `qdata` must be the quantization
-/// of `data`.
+/// of `data`. The batch of one of QueryQuantizedRerankBatch.
 std::vector<SearchMatch> QueryQuantizedRerank(
     const Matrix& data, const QuantizedMatrix& qdata,
     std::span<const double> q, const QueryOptions& options,
     QueryStats* stats = nullptr, Trace* trace = nullptr);
+
+/// QueryQuantizedRerank for a group of queries sharing `options`: one
+/// fused int8 estimate-and-select pass over the code matrix scores the
+/// whole group (QuantizedMatrix::SelectTopEstimates), then every member
+/// is re-ranked exactly on its own. Member i's matches, stats[i] and
+/// registry counts are bitwise those of QueryQuantizedRerank on
+/// queries[i]. One "quant.estimate" span covers the group (its counts
+/// summed over members), followed by one "quant.rerank" span per
+/// member. `stats` is empty or holds one entry per query.
+std::vector<std::vector<SearchMatch>> QueryQuantizedRerankBatch(
+    const Matrix& data, const QuantizedMatrix& qdata,
+    std::span<const std::span<const double>> queries,
+    const QueryOptions& options, std::span<QueryStats> stats = {},
+    Trace* trace = nullptr);
 
 /// Two-stage brute force, sketch-filter flavor: CountSketch estimates
 /// rank every row, survivors (policy from filter.params()) are

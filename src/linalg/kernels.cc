@@ -69,10 +69,14 @@ std::int32_t DotI8Scalar(const std::int8_t* x, const std::int8_t* y,
 }
 
 void ScoreBlockI8Scalar(const std::int8_t* codes, std::size_t rows,
-                        std::size_t cols, const std::int8_t* q,
-                        std::int32_t* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = DotI8Scalar(codes + r * cols, q, cols);
+                        std::size_t cols, const std::int8_t* queries,
+                        std::size_t num_q, std::int32_t* out,
+                        std::size_t out_stride) {
+  for (std::size_t qi = 0; qi < num_q; ++qi) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      out[qi * out_stride + r] =
+          DotI8Scalar(codes + r * cols, queries + qi * cols, cols);
+    }
   }
 }
 

@@ -13,9 +13,10 @@
 //   BlockTopK                          tiled many-vs-many scoring that
 //                                      writes straight into per-query
 //                                      top-k heaps (no n*m score matrix);
-//   DotI8 / ScoreBlockI8               int8 fixed-point inner products
-//                                      (the estimate pass of the
-//                                      two-stage quantized scorer);
+//   DotI8 / ScoreBlockI8               int8 fixed-point inner products;
+//                                      ScoreBlockI8 is the multi-query
+//                                      tile behind the estimate pass of
+//                                      the two-stage quantized scorer;
 //   AndPopcountMany / SignDotMany      batched popcount inner products
 //                                      over packed {0,1} / {-1,+1} rows.
 //
@@ -94,12 +95,19 @@ struct KernelOps {
   std::int32_t (*dot_i8)(const std::int8_t* x, const std::int8_t* y,
                          std::size_t n);
 
-  /// out[r] = dot_i8(codes + r * cols, q) for r in [0, rows): the
-  /// quantized estimate pass of the two-stage scorer — one int8 query
-  /// against a contiguous block of int8 code rows.
+  /// int8 tile scorer, the estimate pass of the two-stage scorer:
+  /// out[qi * out_stride + r] = dot_i8(codes + r * cols,
+  /// queries + qi * cols) for r in [0, rows), qi in [0, num_q): a group
+  /// of queries (contiguous, leading dimension cols) against a block of
+  /// contiguous code rows. The AVX2 implementation scores eight rows at
+  /// a time against one query in registers (abs/sign maddubs, one hadd
+  /// reduction to the eight row sums), so the block is loaded from
+  /// memory once per call and reused across the group from L1. Same
+  /// contract as dot_i8, and bitwise equal to it.
   void (*score_block_i8)(const std::int8_t* codes, std::size_t rows,
-                         std::size_t cols, const std::int8_t* q,
-                         std::int32_t* out);
+                         std::size_t cols, const std::int8_t* queries,
+                         std::size_t num_q, std::int32_t* out,
+                         std::size_t out_stride);
 };
 
 /// The portable fallback (available everywhere).
@@ -254,12 +262,15 @@ inline std::int32_t DotI8(std::span<const std::int8_t> x,
   return ActiveOps().dot_i8(x.data(), y.data(), x.size());
 }
 
-/// out[r] = <codes row r, q> in int32 for `rows` contiguous code rows
-/// of `cols` int8 entries each.
+/// out[qi * out_stride + r] = <codes row r, query qi> in int32 for
+/// `rows` contiguous code rows and `num_q` contiguous queries of `cols`
+/// int8 entries each.
 inline void ScoreBlockI8(const std::int8_t* codes, std::size_t rows,
-                         std::size_t cols, const std::int8_t* q,
-                         std::int32_t* out) {
-  ActiveOps().score_block_i8(codes, rows, cols, q, out);
+                         std::size_t cols, const std::int8_t* queries,
+                         std::size_t num_q, std::int32_t* out,
+                         std::size_t out_stride) {
+  ActiveOps().score_block_i8(codes, rows, cols, queries, num_q, out,
+                             out_stride);
 }
 
 // ---------------------------------------------------------------------

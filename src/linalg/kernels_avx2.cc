@@ -207,13 +207,92 @@ IPS_AVX2 std::int32_t DotI8Avx2(const std::int8_t* x, const std::int8_t* y,
   return total;
 }
 
+// One 32-byte column chunk of a code row against a query chunk: eight
+// int32 partial sums. The query is the maddubs unsigned operand: its
+// |q| is computed once per chunk and shared by the eight rows of a
+// tile, and sign_epi8 moves q's signs onto the row codes.
+IPS_AVX2 inline __m256i RowChunkI8(const std::int8_t* row, __m256i abs_q,
+                                   __m256i q, __m256i ones) {
+  const __m256i vr =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row));
+  const __m256i pairs = _mm256_maddubs_epi16(abs_q, _mm256_sign_epi8(vr, q));
+  return _mm256_madd_epi16(pairs, ones);
+}
+
+// Eight row accumulators -> one ymm whose lane r is row r's total.
+IPS_AVX2 inline __m256i ReduceRows8(__m256i a0, __m256i a1, __m256i a2,
+                                    __m256i a3, __m256i a4, __m256i a5,
+                                    __m256i a6, __m256i a7) {
+  const __m256i h0123 = _mm256_hadd_epi32(_mm256_hadd_epi32(a0, a1),
+                                          _mm256_hadd_epi32(a2, a3));
+  const __m256i h4567 = _mm256_hadd_epi32(_mm256_hadd_epi32(a4, a5),
+                                          _mm256_hadd_epi32(a6, a7));
+  // Low 128-bit lanes hold columns 0-3 of each row's accumulator, high
+  // lanes columns 4-7; pair them up across the two halves.
+  return _mm256_add_epi32(_mm256_permute2x128_si256(h0123, h4567, 0x20),
+                          _mm256_permute2x128_si256(h0123, h4567, 0x31));
+}
+
+// The register-blocked int8 tile: eight code rows against one query,
+// out[r] = dot_i8(tile row r, q), for cols >= 32. Eight accumulators,
+// the query chunk, its |q| and the ones vector stay in registers; the
+// rows come from L1 once the first query of the group has pulled the
+// tile in. The ALU ports, not the loads, bound this loop (sign, maddubs
+// and madd per row chunk), so each query re-reads the tile from L1
+// rather than trading registers for a wider query block.
+IPS_AVX2 inline void Score8RowsI8(const std::int8_t* tile,
+                                  std::size_t cols, const std::int8_t* q,
+                                  std::int32_t* out) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  // The first chunk initializes the accumulators (no adds into zeros).
+  __m256i vq = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q));
+  __m256i aq = _mm256_abs_epi8(vq);
+  __m256i a0 = RowChunkI8(tile, aq, vq, ones);
+  __m256i a1 = RowChunkI8(tile + cols, aq, vq, ones);
+  __m256i a2 = RowChunkI8(tile + 2 * cols, aq, vq, ones);
+  __m256i a3 = RowChunkI8(tile + 3 * cols, aq, vq, ones);
+  __m256i a4 = RowChunkI8(tile + 4 * cols, aq, vq, ones);
+  __m256i a5 = RowChunkI8(tile + 5 * cols, aq, vq, ones);
+  __m256i a6 = RowChunkI8(tile + 6 * cols, aq, vq, ones);
+  __m256i a7 = RowChunkI8(tile + 7 * cols, aq, vq, ones);
+  std::size_t j = 32;
+  for (; j + 32 <= cols; j += 32) {
+    vq = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + j));
+    aq = _mm256_abs_epi8(vq);
+    const std::int8_t* row = tile + j;
+    a0 = _mm256_add_epi32(a0, RowChunkI8(row, aq, vq, ones));
+    a1 = _mm256_add_epi32(a1, RowChunkI8(row + cols, aq, vq, ones));
+    a2 = _mm256_add_epi32(a2, RowChunkI8(row + 2 * cols, aq, vq, ones));
+    a3 = _mm256_add_epi32(a3, RowChunkI8(row + 3 * cols, aq, vq, ones));
+    a4 = _mm256_add_epi32(a4, RowChunkI8(row + 4 * cols, aq, vq, ones));
+    a5 = _mm256_add_epi32(a5, RowChunkI8(row + 5 * cols, aq, vq, ones));
+    a6 = _mm256_add_epi32(a6, RowChunkI8(row + 6 * cols, aq, vq, ones));
+    a7 = _mm256_add_epi32(a7, RowChunkI8(row + 7 * cols, aq, vq, ones));
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      ReduceRows8(a0, a1, a2, a3, a4, a5, a6, a7));
+  for (; j < cols; ++j) {
+    const std::int32_t qj = q[j];
+    for (std::size_t r = 0; r < 8; ++r) out[r] += qj * tile[r * cols + j];
+  }
+}
+
 IPS_AVX2 void ScoreBlockI8Avx2(const std::int8_t* codes, std::size_t rows,
-                               std::size_t cols, const std::int8_t* q,
-                               std::int32_t* out) {
-  // One byte per entry keeps this pass memory-light; per-row dots are
-  // enough to saturate the load ports, no register blocking needed.
-  for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = DotI8Avx2(codes + r * cols, q, cols);
+                               std::size_t cols, const std::int8_t* queries,
+                               std::size_t num_q, std::int32_t* out,
+                               std::size_t out_stride) {
+  // Rows narrower than one 32-byte chunk have no tile body, and the
+  // rows past the last full tile go row by row.
+  const std::size_t tiled = cols >= 32 ? rows - rows % 8 : 0;
+  for (std::size_t qi = 0; qi < num_q; ++qi) {
+    const std::int8_t* q = queries + qi * cols;
+    std::int32_t* q_out = out + qi * out_stride;
+    for (std::size_t r = 0; r < tiled; r += 8) {
+      Score8RowsI8(codes + r * cols, cols, q, q_out + r);
+    }
+    for (std::size_t r = tiled; r < rows; ++r) {
+      q_out[r] = DotI8Avx2(codes + r * cols, q, cols);
+    }
   }
 }
 

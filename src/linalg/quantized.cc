@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
 
 #include "linalg/kernels.h"
 
@@ -16,6 +18,22 @@ std::int8_t Code(double x, double inv_scale) {
   const double scaled = x * inv_scale;
   const long rounded = std::lround(scaled);
   return static_cast<std::int8_t>(std::clamp<long>(rounded, -127, 127));
+}
+
+// The largest of one block's kRowsPerBlock int32 dots (of |dot| when
+// `absolute`). One loop per mode with a fixed trip count, so the
+// compiler vectorizes both.
+std::int32_t BlockMax(const std::int32_t* dots, bool absolute) {
+  constexpr std::size_t kRows = QuantizedMatrix::kRowsPerBlock;
+  std::int32_t best = std::numeric_limits<std::int32_t>::min();
+  if (absolute) {
+    for (std::size_t r = 0; r < kRows; ++r) {
+      best = std::max(best, std::abs(dots[r]));
+    }
+  } else {
+    for (std::size_t r = 0; r < kRows; ++r) best = std::max(best, dots[r]);
+  }
+  return best;
 }
 
 }  // namespace
@@ -88,9 +106,64 @@ void QuantizedMatrix::EstimateAll(const QuantizedVector& q,
       continue;
     }
     kernels::ScoreBlockI8(codes_.data() + row_begin * cols_, nrows, cols_,
-                          q.codes.data(), scratch);
+                          q.codes.data(), 1, scratch, kRowsPerBlock);
     for (std::size_t r = 0; r < nrows; ++r) {
       out[row_begin + r] = factor * static_cast<double>(scratch[r]);
+    }
+  }
+}
+
+void QuantizedMatrix::SelectTopEstimates(
+    std::span<const QuantizedVector> queries, bool absolute,
+    std::span<kernels::TopKHeap> heaps) const {
+  IPS_DCHECK(heaps.size() == queries.size());
+  const std::size_t num_q = queries.size();
+  if (rows_ == 0 || num_q == 0) return;
+  // The group's codes back to back, the tile scorer's query operand.
+  std::vector<std::int8_t> query_codes;
+  query_codes.reserve(num_q * cols_);
+  std::vector<double> floors(num_q);
+  for (std::size_t qi = 0; qi < num_q; ++qi) {
+    IPS_DCHECK(queries[qi].codes.size() == cols_);
+    query_codes.insert(query_codes.end(), queries[qi].codes.begin(),
+                       queries[qi].codes.end());
+    floors[qi] = heaps[qi].Floor();
+  }
+  std::vector<std::int32_t> raw(num_q * kRowsPerBlock);
+  for (std::size_t b = 0; b < scales_.size(); ++b) {
+    const std::size_t row_begin = b * kRowsPerBlock;
+    const std::size_t nrows = std::min(kRowsPerBlock, rows_ - row_begin);
+    kernels::ScoreBlockI8(codes_.data() + row_begin * cols_, nrows, cols_,
+                          query_codes.data(), num_q, raw.data(),
+                          kRowsPerBlock);
+    for (std::size_t qi = 0; qi < num_q; ++qi) {
+      const std::int32_t* dots = raw.data() + qi * kRowsPerBlock;
+      // EstimateAll's expression, so the heap sees its exact doubles.
+      // (Where EstimateAll writes 0.0 for a zero factor, this gives
+      // +-0.0, which every comparison below treats as the same value.)
+      const double factor = scales_[b] * queries[qi].scale;
+      // Rounding is monotone, so factor * (largest dot) is the block's
+      // largest estimate: below the floor, no row of the block enters.
+      // BlockMax reads all kRowsPerBlock entries; past the rows of a
+      // partial last block they hold an earlier block's dots (or the
+      // initial zeros), which can only raise the maximum, so the reject
+      // never skips a row that would enter.
+      double floor = floors[qi];
+      if (factor * static_cast<double>(BlockMax(dots, absolute)) < floor) {
+        continue;
+      }
+      kernels::TopKHeap& heap = heaps[qi];
+      for (std::size_t r = 0; r < nrows; ++r) {
+        double value = factor * static_cast<double>(dots[r]);
+        if (absolute) value = std::abs(value);
+        if (value < floor) continue;
+        const std::size_t index = row_begin + r;
+        if (heap.Accepts(value, index)) {
+          heap.Push(index, value);
+          floor = heap.Floor();
+        }
+      }
+      floors[qi] = floor;
     }
   }
 }

@@ -37,6 +37,7 @@
 #include <span>
 #include <vector>
 
+#include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "util/check.h"
 
@@ -92,6 +93,21 @@ class QuantizedMatrix {
   /// out[r] = estimated <data row r, original query> for every row,
   /// via one dispatched int8 pass per row block.
   void EstimateAll(const QuantizedVector& q, std::span<double> out) const;
+
+  /// The batched estimate-and-select pass of the two-stage scorer: for
+  /// every query qi, offers each row r with its estimate against
+  /// queries[qi] (made absolute when `absolute`) to heaps[qi], so
+  /// heaps[qi] ends holding the rows TopEstimateIndices would keep from
+  /// EstimateAll's output — the same estimates, bitwise, under the same
+  /// (value desc, index asc) order. One int8 tile call per row block
+  /// scores the whole group, so the code matrix is streamed once per
+  /// call, and no n-length estimate array is materialized: a block
+  /// whose best estimate is below a query's heap floor is rejected
+  /// with one multiply (the estimate is monotone in the int32 dot, as
+  /// its factor is >= 0). Requires heaps.size() == queries.size().
+  void SelectTopEstimates(std::span<const QuantizedVector> queries,
+                          bool absolute,
+                          std::span<kernels::TopKHeap> heaps) const;
 
   /// out[j] = estimated score of data row indices[j]: the gathered
   /// flavor behind LSH candidate pruning.

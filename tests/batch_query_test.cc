@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <string>
@@ -37,6 +38,7 @@
 #include "lsh/simhash.h"
 #include "lsh/transforms.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rng/random.h"
 #include "serve/batch_scheduler.h"
 #include "serve/engine.h"
@@ -173,6 +175,128 @@ TEST_F(BatchEquivalenceTest, NormRangeViaDefaultFallback) {
   options.k = 4;
   options.is_signed = true;
   ExpectBatchEqualsPerQuery(index, queries_, options);
+}
+
+// ---------------------------------------------------------------------
+// Brute-force quantized re-rank: Query is the batch of one of the fused
+// int8 estimate-and-select pass, so the equivalence is bitwise under
+// either kernel table (re-rank scores come from the same GatherScores
+// either way), down to the stats and the registry.
+// ---------------------------------------------------------------------
+
+struct QuantRegistrySnapshot {
+  std::uint64_t queries;
+  std::uint64_t pruned;
+  std::uint64_t rerank;
+};
+
+QuantRegistrySnapshot ReadQuantRegistry() {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  return {registry.GetCounter("core.quant.queries")->Value(),
+          registry.GetCounter("core.quant.candidates_pruned")->Value(),
+          registry.GetCounter("core.quant.rerank_dots")->Value()};
+}
+
+QuantRegistrySnapshot Delta(const QuantRegistrySnapshot& before,
+                            const QuantRegistrySnapshot& after) {
+  return {after.queries - before.queries, after.pruned - before.pruned,
+          after.rerank - before.rerank};
+}
+
+void ExpectSameMatchesBitwise(const std::vector<SearchMatch>& got,
+                              const std::vector<SearchMatch>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    EXPECT_EQ(got[j].index, want[j].index) << "rank " << j;
+    EXPECT_EQ(got[j].value, want[j].value) << "rank " << j;
+  }
+}
+
+void ExpectSameQuantStats(const QueryStats& got, const QueryStats& want) {
+  EXPECT_EQ(got.algorithm, want.algorithm);
+  EXPECT_EQ(got.candidates, want.candidates);
+  EXPECT_EQ(got.candidates_pruned, want.candidates_pruned);
+  EXPECT_EQ(got.rerank_exact_dots, want.rerank_exact_dots);
+  EXPECT_EQ(got.dot_products, want.dot_products);
+  EXPECT_EQ(got.batch_size, 1u);
+  EXPECT_EQ(got.metrics.items(), want.metrics.items());
+  EXPECT_TRUE(got.metrics.Has("core.quant.candidates_pruned"));
+  EXPECT_TRUE(got.metrics.Has("core.quant.rerank_dots"));
+}
+
+TEST_F(BatchEquivalenceTest, BruteQuantizedRerankIsBitwiseNTimesQuery) {
+  // 300 rows: ten 32-row scale blocks with a partial last one. k sweeps
+  // the survivor policy: the floor (32), k * 4 (80), and k past n.
+  const BruteForceIndex index(data_);
+  for (const bool is_signed : {true, false}) {
+    for (const std::size_t k : {1UL, 20UL, 400UL}) {
+      SCOPED_TRACE("signed=" + std::to_string(is_signed) +
+                   " k=" + std::to_string(k));
+      QueryOptions options;
+      options.k = k;
+      options.is_signed = is_signed;
+      options.precision = QueryPrecision::kQuantizedRerank;
+
+      const QuantRegistrySnapshot batch_before = ReadQuantRegistry();
+      auto batch = index.BatchQuery(queries_, options);
+      const QuantRegistrySnapshot batch_delta =
+          Delta(batch_before, ReadQuantRegistry());
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      ASSERT_EQ(batch->size(), queries_.rows());
+
+      const QuantRegistrySnapshot single_before = ReadQuantRegistry();
+      for (std::size_t i = 0; i < queries_.rows(); ++i) {
+        SCOPED_TRACE("query " + std::to_string(i));
+        QueryStats single_stats;
+        auto single = index.Query(queries_.Row(i), options, &single_stats);
+        ASSERT_TRUE(single.ok()) << single.status().ToString();
+        ExpectSameMatchesBitwise((*batch)[i].matches, *single);
+        ExpectSameQuantStats((*batch)[i].stats, single_stats);
+      }
+      const QuantRegistrySnapshot single_delta =
+          Delta(single_before, ReadQuantRegistry());
+      EXPECT_EQ(batch_delta.queries, queries_.rows());
+      EXPECT_EQ(batch_delta.queries, single_delta.queries);
+      EXPECT_EQ(batch_delta.pruned, single_delta.pruned);
+      EXPECT_EQ(batch_delta.rerank, single_delta.rerank);
+    }
+  }
+}
+
+TEST_F(BatchEquivalenceTest, BruteQuantizedRerankTraceSharesOneEstimate) {
+  const BruteForceIndex index(data_);
+  QueryOptions options;
+  options.k = 3;
+  options.precision = QueryPrecision::kQuantizedRerank;
+  options.trace = true;
+  auto batch = index.BatchQuery(queries_, options);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  const std::shared_ptr<const Trace>& trace = (*batch)[0].stats.trace;
+  ASSERT_NE(trace, nullptr);
+  for (const QueryResult& result : *batch) {
+    EXPECT_EQ(result.stats.trace, trace);
+  }
+  // One estimate span for the whole group, one re-rank span per member,
+  // all under the batch span.
+  std::size_t estimates = 0;
+  std::size_t reranks = 0;
+  const Trace::Span* batch_span = trace->FindSpan("brute.quant.batch");
+  ASSERT_NE(batch_span, nullptr);
+  for (const Trace::Span& span : trace->spans()) {
+    if (span.name == "quant.estimate") ++estimates;
+    if (span.name == "quant.rerank") ++reranks;
+  }
+  EXPECT_EQ(estimates, 1u);
+  EXPECT_EQ(reranks, queries_.rows());
+  EXPECT_EQ(trace->TotalCount("points_estimated"),
+            data_.rows() * queries_.rows());
+  EXPECT_EQ(trace->TotalCount("batch_queries"), queries_.rows());
+  std::uint64_t rerank_dots = 0;
+  for (const QueryResult& result : *batch) {
+    rerank_dots += result.stats.rerank_exact_dots;
+  }
+  EXPECT_EQ(trace->TotalCount("survivors"), rerank_dots);
+  EXPECT_EQ(trace->TotalCount("rerank_dots"), rerank_dots);
 }
 
 // ---------------------------------------------------------------------
@@ -398,6 +522,49 @@ std::vector<BatchScheduler::Result> RunThroughScheduler(
   scheduler.Drain();
   *counters = scheduler.counters();
   return results;
+}
+
+TEST_F(ServeBatchTest, EngineAndSchedulerQuantGroupsMatchPerQuery) {
+  // A quant-routed group through Engine::BatchQuery and through the
+  // scheduler's coalesced execution (on vs off) answers bitwise what
+  // Engine::Query answers per member.
+  QueryOptions options;
+  options.k = 4;
+  options.force_algorithm = QueryAlgo::kBruteForce;
+  options.precision = QueryPrecision::kQuantizedRerank;
+  ASSERT_TRUE(engine_->EnsureIndex(QueryAlgo::kBruteForce).ok());
+
+  std::vector<QueryResult> truth;
+  for (std::size_t i = 0; i < queries_.rows(); ++i) {
+    auto single = engine_->Query({queries_.Row(i), options});
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    truth.push_back(std::move(single).value());
+  }
+
+  auto batch = engine_->BatchQuery(queries_, options, {});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), queries_.rows());
+  for (std::size_t i = 0; i < queries_.rows(); ++i) {
+    SCOPED_TRACE("engine batch member " + std::to_string(i));
+    ExpectSameMatchesBitwise((*batch)[i].matches, truth[i].matches);
+    ExpectSameQuantStats((*batch)[i].stats, truth[i].stats);
+    EXPECT_EQ((*batch)[i].plan.precision, QueryPrecision::kQuantizedRerank);
+  }
+
+  for (const bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "scheduler batched" : "scheduler sequential");
+    BatchSchedulerOptions scheduler_options;
+    scheduler_options.use_batch_execution = batched;
+    SchedulerCounters counters;
+    const auto results = RunThroughScheduler(*engine_, queries_, options,
+                                             scheduler_options, &counters);
+    for (std::size_t i = 0; i < queries_.rows(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+      ExpectSameMatchesBitwise(results[i].value().matches, truth[i].matches);
+      ExpectSameQuantStats(results[i].value().stats, truth[i].stats);
+    }
+    EXPECT_EQ(counters.completed, queries_.rows());
+  }
 }
 
 TEST_F(ServeBatchTest, SchedulerBatchedExecutionMatchesSequential) {

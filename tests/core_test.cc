@@ -6,6 +6,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/dataset.h"
@@ -284,10 +285,19 @@ TEST_F(SixIndexesTest, IndexJoinWorkIsSumOfPerCallStats) {
     std::size_t matched;
     std::size_t data_index_sum;
   };
+  // The symmetric index hashes the incoherent embedding of each row
+  // through the dispatched dots, which round differently under the
+  // scalar and AVX2 tables (kernels.h: they agree to rounding, not
+  // bitwise), so a few rows land in other buckets and its candidate
+  // count is pinned per table. Its answers are the same under both.
+  const bool scalar = std::string_view(kernels::ActiveIsaName()) == "scalar";
   const Pinned pinned[] = {
-      {brute_.get(), 7200, 21, 3517},    {tree_.get(), 583, 21, 3517},
-      {lsh_.get(), 1698, 21, 3517},      {sketch_.get(), 24, 18, 3580},
-      {symmetric_.get(), 1750, 21, 3517}, {norm_range_.get(), 675, 21, 3517},
+      {brute_.get(), 7200, 21, 3517},
+      {tree_.get(), 583, 21, 3517},
+      {lsh_.get(), 1698, 21, 3517},
+      {sketch_.get(), 24, 18, 3580},
+      {symmetric_.get(), scalar ? 1791u : 1750u, 21, 3517},
+      {norm_range_.get(), 675, 21, 3517},
   };
   for (const Pinned& want : pinned) {
     SCOPED_TRACE(want.index->Name());

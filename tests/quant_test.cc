@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -110,27 +111,110 @@ TEST(QuantKernelTest, ExtremeCodesDoNotSaturate) {
   }
 }
 
-TEST(QuantKernelTest, ScoreBlockI8MatchesRowwiseDot) {
+// Tile coverage for score_block_i8: column counts around the 32-byte
+// chunk of the eight-row tile (vector body plus tail), row counts on
+// and off multiples of the 8-row tile and the 32-row scale block, and
+// groups of one to thirteen queries.
+constexpr std::size_t kTileCols[] = {1, 12, 31, 32, 33, 64, 100, 129};
+constexpr std::size_t kTileRows[] = {1, 7, 8, 13, 32, 37, 45, 70};
+constexpr std::size_t kTileQueries[] = {1, 3, 8, 13};
+
+// Codes drawn from {-127, 127} only: the largest i16 pair sums the
+// maddubs pipeline can meet.
+std::vector<std::int8_t> ExtremeCodes(std::size_t n, Rng* rng) {
+  std::vector<std::int8_t> codes(n);
+  for (auto& c : codes) {
+    c = static_cast<std::int8_t>(rng->NextUint64() % 2 == 0 ? 127 : -127);
+  }
+  return codes;
+}
+
+// Runs `ops`' tile scorer with a padded output stride and checks every
+// entry against the scalar row-wise dot_i8, and that the output padding
+// is left untouched.
+void ExpectTileMatchesRowwiseDot(const kernels::KernelOps& ops,
+                                 const std::vector<std::int8_t>& codes,
+                                 std::size_t rows, std::size_t cols,
+                                 const std::vector<std::int8_t>& queries) {
+  constexpr std::int32_t kSentinel = 0x5a5a5a5a;
+  const std::size_t num_q = queries.size() / cols;
+  const std::size_t out_stride = rows + 5;
+  std::vector<std::int32_t> out(num_q * out_stride, kSentinel);
+  ops.score_block_i8(codes.data(), rows, cols, queries.data(), num_q,
+                     out.data(), out_stride);
+  for (std::size_t qi = 0; qi < num_q; ++qi) {
+    for (std::size_t r = 0; r < out_stride; ++r) {
+      const std::int32_t got = out[qi * out_stride + r];
+      if (r >= rows) {
+        EXPECT_EQ(got, kSentinel) << ops.name << " wrote past row " << rows;
+        continue;
+      }
+      const std::int32_t want = kernels::ScalarOps().dot_i8(
+          codes.data() + r * cols, queries.data() + qi * cols, cols);
+      EXPECT_EQ(got, want) << ops.name << " cols=" << cols
+                           << " rows=" << rows << " num_q=" << num_q
+                           << " qi=" << qi << " r=" << r;
+    }
+  }
+}
+
+TEST(QuantKernelTest, ScoreBlockI8MatchesRowwiseDotOnEveryShape) {
   Rng rng(13);
-  for (std::size_t cols : {3UL, 16UL, 33UL, 64UL}) {
-    const std::size_t rows = 37;
-    std::vector<std::int8_t> codes;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto row = RandomCodes(cols, &rng);
-      codes.insert(codes.end(), row.begin(), row.end());
+  for (const bool extreme : {false, true}) {
+    for (std::size_t cols : kTileCols) {
+      for (std::size_t rows : kTileRows) {
+        for (std::size_t num_q : kTileQueries) {
+          const auto codes = extreme ? ExtremeCodes(rows * cols, &rng)
+                                     : RandomCodes(rows * cols, &rng);
+          const auto queries = extreme ? ExtremeCodes(num_q * cols, &rng)
+                                       : RandomCodes(num_q * cols, &rng);
+          ExpectTileMatchesRowwiseDot(kernels::ScalarOps(), codes, rows, cols,
+                                      queries);
+          if (kernels::Avx2Available()) {
+            ExpectTileMatchesRowwiseDot(kernels::Avx2Ops(), codes, rows,
+                                        cols, queries);
+          }
+        }
+      }
     }
-    const auto q = RandomCodes(cols, &rng);
-    std::vector<std::int32_t> scalar_out(rows), avx2_out(rows);
-    kernels::ScalarOps().score_block_i8(codes.data(), rows, cols, q.data(),
-                                        scalar_out.data());
-    for (std::size_t r = 0; r < rows; ++r) {
-      EXPECT_EQ(scalar_out[r], kernels::ScalarOps().dot_i8(
-                                   codes.data() + r * cols, q.data(), cols));
+  }
+}
+
+TEST(QuantKernelTest, ScoreBlockI8ExtremeCodesAtFullTile) {
+  // Every product at the pair-sum extreme, same and opposite signs, on
+  // two full eight-row tiles: a saturating maddubs, a wrong hadd lane
+  // order or a missing sign correction shows up here. Row r is all +127 or all -127 by parity of r; query
+  // qi is all +127 or all -127 by parity of qi / 2.
+  const std::size_t rows = 16;
+  const std::size_t cols = 128;
+  std::vector<std::int8_t> codes(rows * cols, 127);
+  for (std::size_t r = 1; r < rows; r += 2) {
+    std::fill_n(codes.begin() + r * cols, cols, std::int8_t{-127});
+  }
+  for (const std::size_t num_q : {std::size_t{1}, std::size_t{9}}) {
+    std::vector<std::int8_t> queries(num_q * cols, 127);
+    for (std::size_t qi = 0; qi < num_q; ++qi) {
+      if ((qi / 2) % 2 == 1) {
+        std::fill_n(queries.begin() + qi * cols, cols, std::int8_t{-127});
+      }
     }
-    if (!kernels::Avx2Available()) continue;
-    kernels::Avx2Ops().score_block_i8(codes.data(), rows, cols, q.data(),
-                                      avx2_out.data());
-    EXPECT_EQ(scalar_out, avx2_out) << "cols=" << cols;
+    std::vector<std::int32_t> out(num_q * rows);
+    for (const kernels::KernelOps* ops :
+         {&kernels::ScalarOps(),
+          kernels::Avx2Available() ? &kernels::Avx2Ops() : nullptr}) {
+      if (ops == nullptr) continue;
+      ops->score_block_i8(codes.data(), rows, cols, queries.data(), num_q,
+                          out.data(), rows);
+      for (std::size_t qi = 0; qi < num_q; ++qi) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          const int row_sign = r % 2 == 0 ? 1 : -1;
+          const int query_sign = (qi / 2) % 2 == 0 ? 1 : -1;
+          EXPECT_EQ(out[qi * rows + r],
+                    row_sign * query_sign * 127 * 127 * static_cast<int>(cols))
+              << ops->name << " query " << qi << " row " << r;
+        }
+      }
+    }
   }
 }
 
@@ -227,6 +311,109 @@ TEST(QuantizedMatrixTest, EstimateGatheredMatchesEstimateAll) {
   qdata.EstimateGathered(qq, picks, gathered);
   for (std::size_t j = 0; j < picks.size(); ++j) {
     EXPECT_EQ(gathered[j], all[picks[j]]);
+  }
+}
+
+// A 150-row dataset built to stress the fused selection: every row is
+// one base vector plus small noise, and every nonzero block carries a
+// +-3 entry that pins its scale, so estimates crowd together across
+// blocks and many blocks' best estimates land just above a heap floor.
+// Odd rows duplicate their even neighbour (tied estimates inside one
+// block), rows 32-63 are all zero (scale 0), and the last block is
+// partial.
+Matrix SelectionStressData(Rng* rng) {
+  Matrix data(150, 24);
+  std::vector<double> base(data.cols());
+  for (double& v : base) v = rng->NextGaussian();
+  for (std::size_t r = 0; r < data.rows(); ++r) {
+    if (r >= 32 && r < 64) continue;  // zero block
+    if (r % 2 == 1) {
+      std::copy(data.Row(r - 1).begin(), data.Row(r - 1).end(),
+                data.Row(r).begin());
+      continue;
+    }
+    for (std::size_t j = 0; j + 1 < data.cols(); ++j) {
+      data.At(r, j) = std::clamp(base[j] + 0.05 * rng->NextGaussian(),
+                                 -2.5, 2.5);
+    }
+    data.At(r, data.cols() - 1) = (r / 2) % 2 == 0 ? 3.0 : -3.0;
+  }
+  return data;
+}
+
+// SelectTopEstimates over the whole group against, per query, the
+// unfused reference TopEstimateIndices(EstimateAll(...)), signed and
+// unsigned, for survivor counts from 1 to past n.
+void ExpectSelectionMatchesEstimateAll(
+    const Matrix& data, const std::vector<QuantizedVector>& queries) {
+  const QuantizedMatrix qdata = QuantizedMatrix::Quantize(data);
+  for (const bool absolute : {false, true}) {
+    for (const std::size_t m :
+         {std::size_t{1}, std::size_t{2}, std::size_t{5}, std::size_t{40},
+          data.rows() - 1, data.rows(), data.rows() + 50}) {
+      std::vector<kernels::TopKHeap> heaps(queries.size(),
+                                           kernels::TopKHeap(m));
+      qdata.SelectTopEstimates(queries, absolute, heaps);
+      for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+        SCOPED_TRACE("absolute=" + std::to_string(absolute) +
+                     " m=" + std::to_string(m) + " query " +
+                     std::to_string(qi));
+        std::vector<double> estimates(data.rows());
+        qdata.EstimateAll(queries[qi], estimates);
+        const std::vector<std::size_t> expected =
+            TopEstimateIndices(estimates, m, absolute);
+        std::vector<std::size_t> got;
+        for (const auto& entry : heaps[qi].TakeSorted()) {
+          got.push_back(entry.index);
+        }
+        if (m >= data.rows()) {
+          // TopEstimateIndices short-circuits to every index in index
+          // order; the heap holds the same set, ranked.
+          std::sort(got.begin(), got.end());
+        }
+        EXPECT_EQ(got, expected);
+      }
+    }
+  }
+}
+
+TEST(QuantizedMatrixTest, SelectTopEstimatesMatchesEstimateAllSelection) {
+  Rng rng(24);
+  const Matrix data = SelectionStressData(&rng);
+  // Five queries, the last all zero (scale 0: every estimate ties at 0).
+  std::vector<QuantizedVector> queries;
+  for (int i = 0; i < 4; ++i) {
+    std::vector<double> q(data.cols());
+    for (double& v : q) v = rng.NextGaussian();
+    queries.push_back(QuantizeVector(q));
+  }
+  queries.push_back(QuantizeVector(std::vector<double>(data.cols(), 0.0)));
+  ExpectSelectionMatchesEstimateAll(data, queries);
+}
+
+TEST(QuantizedMatrixTest, SelectTopEstimatesAdmitsOneCodeStepAboveFloor) {
+  // Two blocks, with a 1.0 entry pinning every block's scale, and the
+  // query's, to 1/127 and the query's codes (0, 1, 127) against data
+  // column 2 of zeros, so a row's int32 dot is exactly its column-1
+  // code. Every row of block 0 has dot 50, so after it the top-1 and
+  // top-2 floors are 50. Block 1 holds one row of dot 51, one code step
+  // above that floor under both orders, at position p, among rows whose
+  // |dot| is below 50. For every p the reject must keep block 1, so a
+  // block maximum that misses a position shows up here.
+  constexpr std::size_t kRows = QuantizedMatrix::kRowsPerBlock;
+  const std::vector<double> query = {0.0, 1.0 / 127.0, 1.0};
+  for (std::size_t p = 0; p < kRows; ++p) {
+    SCOPED_TRACE("position " + std::to_string(p));
+    Matrix data(2 * kRows, 3);
+    for (std::size_t r = 0; r < data.rows(); ++r) {
+      data.At(r, 0) = 1.0;
+      double code = 50.0;
+      if (r >= kRows) {
+        code = r - kRows == p ? 51.0 : static_cast<double>(r % 81) - 40.0;
+      }
+      data.At(r, 1) = code / 127.0;
+    }
+    ExpectSelectionMatchesEstimateAll(data, {QuantizeVector(query)});
   }
 }
 

@@ -6,6 +6,9 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/dataset.h"
 #include "core/mips_index.h"
@@ -155,6 +158,78 @@ TEST(TopKTest, TreeTieOrderMatchesBruteForce) {
     for (std::size_t t = 0; t < exact.size(); ++t) {
       EXPECT_EQ(via_tree[t].first, exact[t].index) << "rank " << t;
       EXPECT_NEAR(via_tree[t].second, exact[t].value, 1e-12);
+    }
+  }
+}
+
+// Full-sort reference for the partial-select top-k: every row scored
+// by the same MatVec the brute force uses, sorted under (value desc,
+// index asc), truncated to k.
+std::vector<SearchMatch> FullSortTopK(const Matrix& data,
+                                      std::span<const double> q,
+                                      std::size_t k, bool is_signed) {
+  std::vector<double> raw(data.rows());
+  kernels::MatVec(data, q, raw);
+  std::vector<SearchMatch> all;
+  for (std::size_t i = 0; i < data.rows(); ++i) {
+    all.push_back({i, is_signed ? raw[i] : std::abs(raw[i])});
+  }
+  std::sort(all.begin(), all.end(),
+            [](const SearchMatch& a, const SearchMatch& b) {
+              if (a.value != b.value) return a.value > b.value;
+              return a.index < b.index;
+            });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+void ExpectSameMatches(const std::vector<SearchMatch>& got,
+                       const std::vector<SearchMatch>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t t = 0; t < want.size(); ++t) {
+    EXPECT_EQ(got[t].index, want[t].index) << "rank " << t;
+    EXPECT_EQ(got[t].value, want[t].value) << "rank " << t;
+  }
+}
+
+TEST(TopKTest, PartialSelectMatchesFullSortReference) {
+  // 120 rows in runs of three identical rows (score ties at every
+  // cut), plus sign-flipped copies so the unsigned scores tie across
+  // signs too. k sweeps the edges: 1, a cut inside a tie run, n, > n.
+  Rng rng(19);
+  Matrix data(120, 5);
+  for (std::size_t r = 0; r < 60; ++r) {
+    if (r % 3 == 0) {
+      for (double& v : data.Row(r)) v = rng.NextGaussian();
+    } else {
+      std::copy(data.Row(r - 1).begin(), data.Row(r - 1).end(),
+                data.Row(r).begin());
+    }
+    for (std::size_t j = 0; j < data.cols(); ++j) {
+      data.At(r + 60, j) = -data.At(r, j);
+    }
+  }
+  for (int trial = 0; trial < 5; ++trial) {
+    std::vector<double> q(data.cols());
+    for (double& v : q) v = rng.NextGaussian();
+    std::vector<std::size_t> candidates;
+    for (std::size_t i = 0; i < data.rows(); i += 2) candidates.push_back(i);
+    for (const bool is_signed : {true, false}) {
+      for (const std::size_t k : {1UL, 2UL, 7UL, 119UL, 120UL, 500UL}) {
+        SCOPED_TRACE("signed=" + std::to_string(is_signed) +
+                     " k=" + std::to_string(k));
+        ExpectSameMatches(TopKBruteForce(data, q, k, is_signed),
+                          FullSortTopK(data, q, k, is_signed));
+        // The candidate flavor over every other row: same order, same
+        // exact scores, restricted to the candidate set.
+        std::vector<SearchMatch> want;
+        for (const SearchMatch& match :
+             FullSortTopK(data, q, data.rows(), is_signed)) {
+          if (match.index % 2 == 0 && want.size() < k) want.push_back(match);
+        }
+        ExpectSameMatches(
+            TopKFromCandidates(data, q, candidates, k, is_signed), want);
+      }
     }
   }
 }
