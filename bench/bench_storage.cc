@@ -2,7 +2,9 @@
 // ways to stand up a serving engine — cold rebuild (Create + calibrate
 // + index builds), heap snapshot load, and mmap zero-copy warm start —
 // plus the out-of-core blocked join's block-size sweep. Writes
-// BENCH_storage.json.
+// BENCH_storage.json to the working directory; its scratch snapshot and
+// matrix files go next to the binary (build/bench/ in the default
+// tree), so it runs from any directory.
 //
 // Acceptance gate (ISSUE 7): the mmap warm start must reach its first
 // answer >= 10x faster than the cold rebuild; a miss exits nonzero so
@@ -10,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -86,13 +89,14 @@ double WarmStartMs(const std::string& dir, bool use_mmap) {
   return timer.Millis();
 }
 
-WarmStartResult RunWarmStartSection(Rng* rng) {
+WarmStartResult RunWarmStartSection(const std::filesystem::path& scratch,
+                                    Rng* rng) {
   std::cout << "=== warm start (n=" << kN << ", dim=" << kDim << ", "
             << kReps << " reps, best-of) ===\n";
   const Matrix data = MakeUnitBallGaussian(kN, kDim, /*min_norm=*/0.3, rng);
 
   // Author the snapshot once from a fully built engine.
-  const std::string dir = "build/bench_storage_snapshot";
+  const std::string dir = (scratch / "bench_storage_snapshot").string();
   {
     auto engine = Engine::Create(data);
     if (!engine.ok()) Die("snapshot author", engine.status());
@@ -134,15 +138,17 @@ WarmStartResult RunWarmStartSection(Rng* rng) {
 // pay per-pair hashing of the data side repeatedly (the data side is
 // rehashed once per query block); big blocks approach the monolithic
 // join's memory. The sweet spot is the fastest block size.
-std::vector<SweepPoint> RunBlockSweep(Rng* rng) {
+std::vector<SweepPoint> RunBlockSweep(const std::filesystem::path& scratch,
+                                      Rng* rng) {
   constexpr std::size_t kRows = 32768;
   constexpr std::size_t kSweepDim = 32;
   constexpr std::size_t kQueryRows = 256;
   std::cout << "=== out-of-core block sweep (" << kRows << " x " << kSweepDim
             << " data, " << kQueryRows << " queries) ===\n";
 
-  const std::string data_path = "build/bench_storage_data.ips";
-  const std::string queries_path = "build/bench_storage_queries.ips";
+  const std::string data_path = (scratch / "bench_storage_data.ips").string();
+  const std::string queries_path =
+      (scratch / "bench_storage_queries.ips").string();
   {
     auto writer = storage::MatrixSnapshotWriter::Create(data_path, kSweepDim);
     if (!writer.ok()) Die("sweep writer", writer.status());
@@ -235,10 +241,19 @@ void WriteJson(const WarmStartResult& warm,
       << (sweep.empty() ? 0 : sweep[best].block_rows) << "\n}\n";
 }
 
-int Run() {
+// The directory holding this binary: /proc/self/exe, else argv[0]'s.
+std::filesystem::path BinaryDir(const char* argv0) {
+  std::error_code error;
+  const std::filesystem::path exe =
+      std::filesystem::read_symlink("/proc/self/exe", error);
+  return error ? std::filesystem::path(argv0).parent_path()
+               : exe.parent_path();
+}
+
+int Run(const std::filesystem::path& scratch) {
   Rng rng(2026);
-  const WarmStartResult warm = RunWarmStartSection(&rng);
-  const std::vector<SweepPoint> sweep = RunBlockSweep(&rng);
+  const WarmStartResult warm = RunWarmStartSection(scratch, &rng);
+  const std::vector<SweepPoint> sweep = RunBlockSweep(scratch, &rng);
   WriteJson(warm, sweep, "BENCH_storage.json");
   std::cout << "wrote BENCH_storage.json\n";
 
@@ -256,4 +271,6 @@ int Run() {
 }  // namespace
 }  // namespace ips
 
-int main() { return ips::Run(); }
+int main(int /*argc*/, char** argv) {
+  return ips::Run(ips::BinaryDir(argv[0]));
+}

@@ -79,9 +79,9 @@ run_tsan() {
     -DIPS_BUILD_BENCHMARKS=OFF -DIPS_BUILD_EXAMPLES=ON >/dev/null
   cmake --build build-tsan -j"$JOBS" \
     --target util_test obs_test core_test chaos_test serve_test \
-    sharded_test lsh_test storage_test serve_quickstart
+    sharded_test lsh_test storage_test tree_test sketch_test serve_quickstart
   (cd build-tsan && ctest --output-on-failure \
-    -R '^(util_test|obs_test|core_test|chaos_test|serve_test|sharded_test|lsh_test|storage_test)$')
+    -R '^(util_test|obs_test|core_test|chaos_test|serve_test|sharded_test|lsh_test|storage_test|tree_test|sketch_test)$')
   echo "=== TSan serve quickstart ==="
   ./build-tsan/examples/serve_quickstart
 }
@@ -142,8 +142,8 @@ run_storage() {
   cmake --build build -j"$JOBS" --target bench_storage ipssnap persistence_quickstart
   ./build/bench/bench_storage
   echo "=== storage: ipssnap --verify over the bench artifacts ==="
-  ./build/tools/ipssnap --verify build/bench_storage_snapshot/snapshot.ips
-  ./build/tools/ipssnap --verify build/bench_storage_data.ips
+  ./build/tools/ipssnap --verify build/bench/bench_storage_snapshot/snapshot.ips
+  ./build/tools/ipssnap --verify build/bench/bench_storage_data.ips
   echo "=== storage: persistence quickstart (save -> warm start -> blocked join) ==="
   ./build/examples/persistence_quickstart
 }

@@ -36,14 +36,32 @@ std::vector<SearchMatch> TopKBruteForce(const Matrix& data,
                                         std::span<const double> q,
                                         std::size_t k, bool is_signed) {
   IPS_CHECK_GE(k, 1u);
-  std::vector<double> raw(data.rows());
-  kernels::MatVec(data, q, raw);
-  std::vector<SearchMatch> scored;
-  scored.reserve(data.rows());
-  for (std::size_t i = 0; i < data.rows(); ++i) {
-    scored.push_back({i, is_signed ? raw[i] : std::abs(raw[i])});
+  // Streams the scan: MatVec scores one cache-resident block of rows at
+  // a time, and a heap under the same (score desc, index asc) order as
+  // KBest keeps the k best, rejecting most rows with one compare
+  // against a register-held floor. No n-length buffer is allocated.
+  constexpr std::size_t kBlockRows = 512;
+  double scores[kBlockRows];
+  kernels::TopKHeap heap(k);
+  double floor = heap.Floor();
+  const std::size_t cols = data.cols();
+  for (std::size_t begin = 0; begin < data.rows(); begin += kBlockRows) {
+    const std::size_t rows = std::min(kBlockRows, data.rows() - begin);
+    kernels::MatVec(Matrix::View(data.raw() + begin * cols, rows, cols), q,
+                    std::span<double>(scores, rows));
+    for (std::size_t j = 0; j < rows; ++j) {
+      const double value = is_signed ? scores[j] : std::abs(scores[j]);
+      if (value < floor || !heap.Accepts(value, begin + j)) continue;
+      heap.Push(begin + j, value);
+      floor = heap.Floor();
+    }
   }
-  return KBest(std::move(scored), k);
+  std::vector<SearchMatch> matches;
+  matches.reserve(heap.size());
+  for (const kernels::ScoredIndex& entry : heap.TakeSorted()) {
+    matches.push_back({entry.index, entry.value});
+  }
+  return matches;
 }
 
 std::vector<SearchMatch> TopKBallTree(const MipsBallTree& tree,

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "linalg/validate.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/failpoint.h"
+#include "util/thread_pool.h"
 
 namespace ips {
 
@@ -30,21 +32,34 @@ LshTableParams LshTableParams::FromGap(std::size_t n, double p1, double p2) {
 }
 
 LshTables::LshTables(const LshFamily& family, const Matrix& data,
-                     LshTableParams params, Rng* rng)
+                     LshTableParams params, Rng* rng, ThreadPool* pool)
     : params_(params) {
   IPS_CHECK(rng != nullptr);
   IPS_CHECK_GE(params.k, 1u);
   IPS_CHECK_GE(params.l, 1u);
   IPS_CHECK_EQ(family.dim(), data.cols());
   tables_.resize(params_.l);
+  // The functions are drawn serially, in table order (the stream a
+  // snapshot load replays); each table then hashes every row on its
+  // own task, inserting in row order, so its buckets -- contents and
+  // iteration order -- match a serial build.
   for (auto& table : tables_) {
     table.function =
         std::make_unique<ConcatenatedLshFunction>(family, params_.k, rng);
-    for (std::size_t i = 0; i < data.rows(); ++i) {
-      const std::uint64_t key = table.function->HashData(data.Row(i));
-      table.buckets[key].push_back(static_cast<std::uint32_t>(i));
-    }
   }
+  std::optional<ThreadPool> local_pool;
+  if (pool == nullptr) {
+    pool = &local_pool.emplace(ThreadPool::DefaultThreadCount());
+  }
+  ParallelFor(pool, tables_.size(), [&](std::size_t first, std::size_t last) {
+    for (std::size_t t = first; t < last; ++t) {
+      Table& table = tables_[t];
+      for (std::size_t i = 0; i < data.rows(); ++i) {
+        const std::uint64_t key = table.function->HashData(data.Row(i));
+        table.buckets[key].push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+  });
 }
 
 StatusOr<std::unique_ptr<LshTables>> LshTables::Create(

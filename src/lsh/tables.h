@@ -25,6 +25,8 @@
 
 namespace ips {
 
+class ThreadPool;  // util/thread_pool.h
+
 /// Per-query accounting of one LshTables::Query call, for callers that
 /// fold the numbers into a core::QueryStats (which this layer cannot
 /// see — core depends on lsh, not the other way around).
@@ -55,10 +57,15 @@ struct LshTableParams {
 class LshTables {
  public:
   /// Builds the index. `family` must outlive the index; `data` is
-  /// referenced, not copied, and must outlive the index as well.
-  /// Preconditions are IPS_CHECKed; prefer Create for untrusted input.
+  /// referenced, not copied, and must outlive the index as well. The
+  /// l functions are drawn serially, then the tables are hashed on
+  /// `pool` when given, else on a local pool of
+  /// ThreadPool::DefaultThreadCount() workers; the buckets do not depend
+  /// on the pool. `family`'s functions must be safe to call
+  /// concurrently (LshFunction's hashes are const). Preconditions are
+  /// IPS_CHECKed; prefer Create for untrusted input.
   LshTables(const LshFamily& family, const Matrix& data,
-            LshTableParams params, Rng* rng);
+            LshTableParams params, Rng* rng, ThreadPool* pool = nullptr);
 
   /// Validated construction: rejects an empty or non-finite `data`,
   /// a dimension mismatch with `family`, k or l of zero, and a null

@@ -24,6 +24,7 @@
 #define IPS_SKETCH_MAX_STABILITY_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -44,8 +45,22 @@ struct MaxStabilityParams {
 /// One linear sketch Pi = [S_1 D_1; ...; S_R D_R] for vectors in R^n.
 class MaxStabilitySketch {
  public:
+  /// Draw(input_dim, params, rng) followed by Finish().
   MaxStabilitySketch(std::size_t input_dim, const MaxStabilityParams& params,
                      Rng* rng);
+
+  /// The sketch's randomness without its per-coordinate math: consumes
+  /// exactly the constructor's rng stream (copy by copy, the CountSketch
+  /// assignments, then the uniform behind each Exp(1) scale). Builders
+  /// that draw many sketches from one rng call this serially, in a fixed
+  /// order, then Finish() the sketches on a pool. The result must be
+  /// finished before any other use.
+  static MaxStabilitySketch Draw(std::size_t input_dim,
+                                 const MaxStabilityParams& params, Rng* rng);
+
+  /// Turns the drawn uniforms into the scales u^(-1/kappa), u ~ Exp(1).
+  /// Draw(...) then Finish() is bitwise the constructed sketch.
+  void Finish();
 
   std::size_t input_dim() const { return input_dim_; }
 
@@ -74,13 +89,20 @@ class MaxStabilitySketch {
   Matrix SketchDataMatrix(const Matrix& data, std::size_t row_begin,
                           std::size_t row_end) const;
 
+  /// SketchDataMatrix into caller storage: `out` holds sketch_dim() x
+  /// data.cols() doubles, row-major, whatever their prior contents.
+  void SketchDataMatrixInto(const Matrix& data, std::size_t row_begin,
+                            std::size_t row_end, std::span<double> out) const;
+
   const MaxStabilityParams& params() const { return params_; }
 
  private:
   struct Copy {
-    std::vector<double> scale;  // u_j^(-1/kappa)
+    std::vector<double> scale;  // u_j^(-1/kappa); the uniforms until Finish
     CountSketch count_sketch;
   };
+
+  MaxStabilitySketch(std::size_t input_dim, const MaxStabilityParams& params);
 
   std::size_t input_dim_;
   MaxStabilityParams params_;

@@ -1,25 +1,69 @@
 #include "sketch/sketch_mips.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "linalg/validate.h"
 #include "linalg/kernels.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/failpoint.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ips {
 
 SketchMipsIndex::SketchMipsIndex(const Matrix& data,
-                                 const SketchMipsParams& params, Rng* rng)
+                                 const SketchMipsParams& params, Rng* rng,
+                                 ThreadPool* pool)
     : data_(&data), params_(params) {
   IPS_CHECK(rng != nullptr);
   IPS_CHECK_GT(data.rows(), 0u);
   IPS_CHECK_GE(params.kappa, 2.0);
   IPS_CHECK_GE(params.leaf_size, 1u);
-  root_ = BuildNode(0, data.rows(), rng);
+  root_ = DrawNode(0, data.rows(), rng);
+
+  // Every internal node's math depends on its own draws alone. Workers
+  // take nodes largest first, so the root's sketch is not left for last.
+  std::vector<int> internal;
+  std::vector<std::size_t> first_row(nodes_.size());
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].sketch == nullptr) continue;
+    internal.push_back(static_cast<int>(i));
+    first_row[i] = total_sketch_rows_;
+    total_sketch_rows_ += nodes_[i].sketch->sketch_dim();
+  }
+  // Left uninitialized: each task zeroes its own slice, so the pages
+  // are faulted in on the pool rather than by one serial fill.
+  const std::size_t cols = data.cols();
+  sketch_storage_.reset(new double[total_sketch_rows_ * cols]);
+  std::stable_sort(internal.begin(), internal.end(), [&](int a, int b) {
+    return nodes_[a].end - nodes_[a].begin > nodes_[b].end - nodes_[b].begin;
+  });
+  std::optional<ThreadPool> local_pool;
+  if (pool == nullptr) {
+    pool = &local_pool.emplace(ThreadPool::DefaultThreadCount());
+  }
+  // One worker loop per pool thread (one inline loop for a worker-less
+  // pool), each taking the next node off a shared counter.
+  std::atomic<std::size_t> next{0};
+  const std::size_t workers = std::max<std::size_t>(1, pool->num_threads());
+  ParallelFor(pool, workers, [&](std::size_t, std::size_t) {
+    for (std::size_t i = next.fetch_add(1); i < internal.size();
+         i = next.fetch_add(1)) {
+      const int index = internal[i];
+      Node& node = nodes_[index];
+      node.sketch->Finish();
+      const std::size_t rows = node.sketch->sketch_dim();
+      double* const out = sketch_storage_.get() + first_row[index] * cols;
+      node.sketch->SketchDataMatrixInto(*data_, node.begin, node.end,
+                                        {out, rows * cols});
+      node.sketched_rows = Matrix::View(out, rows, cols);
+    }
+  });
 }
 
 StatusOr<std::unique_ptr<SketchMipsIndex>> SketchMipsIndex::Create(
@@ -56,7 +100,7 @@ Status SketchMipsIndex::Validate(const Matrix& data,
   return Status::Ok();
 }
 
-int SketchMipsIndex::BuildNode(std::size_t begin, std::size_t end, Rng* rng) {
+int SketchMipsIndex::DrawNode(std::size_t begin, std::size_t end, Rng* rng) {
   const int index = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
   nodes_[index].begin = begin;
@@ -67,20 +111,35 @@ int SketchMipsIndex::BuildNode(std::size_t begin, std::size_t end, Rng* rng) {
     sketch_params.kappa = params_.kappa;
     sketch_params.copies = params_.copies;
     sketch_params.bucket_multiplier = params_.bucket_multiplier;
-    auto sketch = std::make_unique<MaxStabilitySketch>(size, sketch_params,
-                                                       rng);
-    Matrix sketched = sketch->SketchDataMatrix(*data_, begin, end);
-    total_sketch_rows_ += sketched.rows();
-    nodes_[index].sketch = std::move(sketch);
-    nodes_[index].sketched_rows = std::move(sketched);
+    nodes_[index].sketch = std::make_unique<MaxStabilitySketch>(
+        MaxStabilitySketch::Draw(size, sketch_params, rng));
     const std::size_t mid = begin + size / 2;
     // Note: recursive calls may reallocate nodes_; do not hold references.
-    const int left = BuildNode(begin, mid, rng);
-    const int right = BuildNode(mid, end, rng);
+    const int left = DrawNode(begin, mid, rng);
+    const int right = DrawNode(mid, end, rng);
     nodes_[index].left = left;
     nodes_[index].right = right;
   }
   return index;
+}
+
+std::uint64_t SketchMipsIndex::Fingerprint() const {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](const void* bytes, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(bytes);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash = (hash ^ p[i]) * 0x100000001b3ULL;
+    }
+  };
+  for (const Node& node : nodes_) {
+    const std::uint64_t shape[4] = {
+        node.begin, node.end, static_cast<std::uint64_t>(node.left),
+        static_cast<std::uint64_t>(node.right)};
+    mix(shape, sizeof(shape));
+    const Matrix& rows = node.sketched_rows;
+    mix(rows.raw(), rows.rows() * rows.cols() * sizeof(double));
+  }
+  return hash;
 }
 
 std::size_t SketchMipsIndex::RootSketchRows() const {

@@ -14,11 +14,18 @@
 // towards the child whose estimated max is larger ("recover the index
 // bit by bit"). Each data vector appears in O(log n) node sketches, so
 // construction stays O~(d n^(2-2/kappa)) and a query O~(d n^(1-2/kappa)).
+//
+// Build: every node's randomness is drawn serially, in preorder (the
+// order snapshot loads replay from a pinned rng state); the per-node
+// math -- the Exp(1) scales and the sketched sub-matrix -- then runs on
+// a thread pool. The index is bitwise the same for a given rng state
+// and any pool size.
 
 #ifndef IPS_SKETCH_SKETCH_MIPS_H_
 #define IPS_SKETCH_SKETCH_MIPS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -28,6 +35,8 @@
 #include "util/status.h"
 
 namespace ips {
+
+class ThreadPool;  // util/thread_pool.h
 
 /// Per-query accounting of one RecoverArgmax descent, for callers that
 /// fold the numbers into a core::QueryStats.
@@ -57,10 +66,12 @@ struct SketchMipsParams {
 class SketchMipsIndex {
  public:
   /// Builds the tree of sketched sub-matrices. `data` must outlive the
-  /// index. Preconditions are IPS_CHECKed; prefer Create for untrusted
-  /// input.
+  /// index. Runs on `pool` when given, else on a local pool of
+  /// ThreadPool::DefaultThreadCount() workers; the result does not
+  /// depend on the pool. Preconditions are IPS_CHECKed; prefer Create
+  /// for untrusted input.
   SketchMipsIndex(const Matrix& data, const SketchMipsParams& params,
-                  Rng* rng);
+                  Rng* rng, ThreadPool* pool = nullptr);
 
   /// Validated construction: rejects an empty or non-finite `data`,
   /// kappa < 2, copies == 0, leaf_size == 0, a non-positive bucket
@@ -110,6 +121,12 @@ class SketchMipsIndex {
 
   const SketchMipsParams& params() const { return params_; }
 
+  /// 64-bit FNV-1a digest of the built index: every node's range, child
+  /// links and sketched rows, bit for bit. Equal digests mean the
+  /// builds answer every query identically; tests pin it to hold builds
+  /// reproducible across pool sizes and releases.
+  std::uint64_t Fingerprint() const;
+
  private:
   struct Node {
     std::size_t begin = 0;
@@ -118,13 +135,15 @@ class SketchMipsIndex {
     // (p_i^T q)_{i in range} is (sketched_rows * q); sketched_rows has
     // sketch_dim rows of dimension d.
     std::unique_ptr<MaxStabilitySketch> sketch;
-    Matrix sketched_rows;  // sketch_dim x d
+    Matrix sketched_rows;  // sketch_dim x d, a view into sketch_storage_
     int left = -1;
     int right = -1;
   };
 
-  /// Recursively builds the node over [begin, end); returns its index.
-  int BuildNode(std::size_t begin, std::size_t end, Rng* rng);
+  /// Lays out the node over [begin, end) and its subtree in preorder,
+  /// drawing each internal node's sketch (MaxStabilitySketch::Draw);
+  /// returns its index.
+  int DrawNode(std::size_t begin, std::size_t end, Rng* rng);
 
   /// ||A[range] q||_inf estimate at `node`.
   double EstimateNode(const Node& node, std::span<const double> q) const;
@@ -134,6 +153,9 @@ class SketchMipsIndex {
   std::vector<Node> nodes_;
   int root_ = -1;
   std::size_t total_sketch_rows_ = 0;
+  // Every node's sketched rows, back to back in preorder: one
+  // allocation, first touched by the pool task that fills each node.
+  std::unique_ptr<double[]> sketch_storage_;
 };
 
 /// The Section 4.3 remark: a data structure for unsigned (cs, s) *search*

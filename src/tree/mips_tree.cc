@@ -2,23 +2,104 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "linalg/kernels.h"
 #include "obs/metrics.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ips {
 
+namespace {
+
+// Rows per block of a node pass. Block boundaries depend on the node's
+// range alone, so every pass -- the blocked centroid sum included --
+// yields the same bits whether its blocks run on a pool or inline.
+constexpr std::size_t kPassBlockRows = 4096;
+
+// Depth whose subtrees are shaped whole by one pool task each. The
+// 2^4 = 16 subtrees are of equal size, which keeps a few workers busy
+// even when one of them stalls; the nodes above run their passes on
+// the pool instead.
+constexpr std::size_t kTaskDepth = 4;
+
+// Farthest row of a scan: the first maximum, as a serial scan with a
+// strict > finds it.
+struct Farthest {
+  double distance = -1.0;
+  std::size_t offset = 0;  // within the node's range
+};
+
+void KeepFarther(const Farthest& candidate, Farthest* best) {
+  if (candidate.distance > best->distance) *best = candidate;
+}
+
+// Runs fn(block, lo, hi) over [0, count) cut into kPassBlockRows-row
+// blocks: on `pool` when non-null, inline otherwise.
+template <typename Fn>
+void RunBlocks(ThreadPool* pool, std::size_t count, const Fn& fn) {
+  const std::size_t blocks = (count + kPassBlockRows - 1) / kPassBlockRows;
+  ParallelFor(pool, blocks, [&](std::size_t first, std::size_t last) {
+    for (std::size_t b = first; b < last; ++b) {
+      fn(b, b * kPassBlockRows, std::min(count, (b + 1) * kPassBlockRows));
+    }
+  });
+}
+
+}  // namespace
+
+// Per-task scratch, reused across the nodes one task shapes.
+struct MipsBallTree::BuildScratch {
+  std::vector<double> partial_sums;  // blocks x cols
+  std::vector<Farthest> from_center;
+  std::vector<Farthest> from_pivot;
+  std::vector<double> axis;
+  // (projection, data index): the split's total order.
+  std::vector<std::pair<double, std::size_t>> keys;
+};
+
 MipsBallTree::MipsBallTree(const Matrix& data, std::size_t leaf_size,
-                           Rng* rng)
+                           Rng* rng, ThreadPool* pool)
     : data_(&data), point_order_(data.rows()) {
   IPS_CHECK(rng != nullptr);
   IPS_CHECK_GT(data.rows(), 0u);
   IPS_CHECK_GE(leaf_size, 1u);
   for (std::size_t i = 0; i < data.rows(); ++i) point_order_[i] = i;
-  root_ = BuildNode(0, data.rows(), leaf_size, rng);
+  root_ = LayOut(0, data.rows(), leaf_size);
+  const std::uint64_t seed = rng->NextUint64();
+
+  std::optional<ThreadPool> local_pool;
+  if (pool == nullptr && data.rows() > kPassBlockRows) {
+    pool = &local_pool.emplace(ThreadPool::DefaultThreadCount());
+  }
+  // Top levels, one node at a time with each pass on the pool; every
+  // node there spans at least n / 2^kTaskDepth points.
+  BuildScratch scratch;
+  std::vector<int> level = {root_};
+  for (std::size_t depth = 0; depth < kTaskDepth && !level.empty();
+       ++depth) {
+    std::vector<int> next;
+    for (const int index : level) {
+      ShapeNode(index, seed, pool, &scratch);
+      if (!nodes_[index].IsLeaf()) {
+        next.push_back(nodes_[index].left);
+        next.push_back(nodes_[index].right);
+      }
+    }
+    level = std::move(next);
+  }
+  // Below: the subtrees are independent (disjoint nodes and disjoint
+  // point_order ranges), one pool task each.
+  ParallelFor(pool, level.size(), [&](std::size_t first, std::size_t last) {
+    BuildScratch task_scratch;
+    for (std::size_t i = first; i < last; ++i) {
+      ShapeSubtree(level[i], seed, &task_scratch);
+    }
+  });
 }
 
 StatusOr<MipsBallTree> MipsBallTree::Restore(
@@ -48,6 +129,11 @@ StatusOr<MipsBallTree> MipsBallTree::Restore(
                             " is outside its " +
                             std::to_string(nodes.size()) + " nodes");
   }
+  if (nodes[root].begin != 0 || nodes[root].end != n) {
+    return Status::DataLoss("tree artifact root does not span the " +
+                            std::to_string(n) + " points");
+  }
+  std::vector<std::uint8_t> parents(nodes.size(), 0);
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const Node& node = nodes[i];
     if (node.center.size() != data.cols()) {
@@ -62,20 +148,45 @@ StatusOr<MipsBallTree> MipsBallTree::Restore(
       return Status::DataLoss("tree artifact node " + std::to_string(i) +
                               " has an invalid range or radius");
     }
-    // Children were always allocated after their parent (BuildNode
-    // pushes the parent first), so forward-only links also certify the
-    // restored graph is acyclic.
-    if (!node.IsLeaf()) {
-      const bool left_ok =
-          node.left > static_cast<int>(i) &&
-          static_cast<std::size_t>(node.left) < nodes.size();
-      const bool right_ok =
-          node.right > static_cast<int>(i) &&
-          static_cast<std::size_t>(node.right) < nodes.size();
-      if (!left_ok || !right_ok) {
-        return Status::DataLoss("tree artifact node " + std::to_string(i) +
-                                " has invalid child links");
+    if (node.IsLeaf()) continue;
+    // Children were always allocated after their parent (both builders
+    // lay nodes out in preorder), so forward-only links also certify
+    // the restored graph is acyclic.
+    const bool left_ok =
+        node.left > static_cast<int>(i) &&
+        static_cast<std::size_t>(node.left) < nodes.size();
+    const bool right_ok =
+        node.right > static_cast<int>(i) &&
+        static_cast<std::size_t>(node.right) < nodes.size();
+    if (!left_ok || !right_ok) {
+      return Status::DataLoss("tree artifact node " + std::to_string(i) +
+                              " has invalid child links");
+    }
+    // The children must tile the parent's range: a gap is a row search
+    // would silently never score.
+    const Node& left = nodes[node.left];
+    const Node& right = nodes[node.right];
+    if (left.begin != node.begin || left.end != right.begin ||
+        right.end != node.end) {
+      return Status::DataLoss("tree artifact node " + std::to_string(i) +
+                              "'s children do not tile its range");
+    }
+    for (const int child : {node.left, node.right}) {
+      if (++parents[child] > 1) {
+        return Status::DataLoss("tree artifact node " +
+                                std::to_string(child) +
+                                " has more than one parent");
       }
+    }
+  }
+  // With forward links, one parent per non-root node makes every node
+  // reachable from the root, so the leaves partition [0, n).
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const bool is_root = static_cast<int>(i) == root;
+    if (parents[i] != (is_root ? 0 : 1)) {
+      return Status::DataLoss("tree artifact node " + std::to_string(i) +
+                              (is_root ? " is the root but has a parent"
+                                       : " has no parent"));
     }
   }
   MipsBallTree tree;
@@ -86,69 +197,134 @@ StatusOr<MipsBallTree> MipsBallTree::Restore(
   return tree;
 }
 
-int MipsBallTree::BuildNode(std::size_t begin, std::size_t end,
-                            std::size_t leaf_size, Rng* rng) {
+int MipsBallTree::LayOut(std::size_t begin, std::size_t end,
+                         std::size_t leaf_size) {
   const int index = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
-  {
-    Node& node = nodes_[index];
-    node.begin = begin;
-    node.end = end;
-    // Center = mean of the points; radius = max distance to the center.
-    node.center.assign(data_->cols(), 0.0);
-    for (std::size_t t = begin; t < end; ++t) {
-      const std::span<const double> row = data_->Row(point_order_[t]);
-      for (std::size_t c = 0; c < row.size(); ++c) node.center[c] += row[c];
+  nodes_[index].begin = begin;
+  nodes_[index].end = end;
+  if (end - begin > leaf_size) {
+    const std::size_t mid = begin + (end - begin) / 2;
+    // Note: the recursive calls reallocate nodes_; hold no references.
+    const int left = LayOut(begin, mid, leaf_size);
+    const int right = LayOut(mid, end, leaf_size);
+    nodes_[index].left = left;
+    nodes_[index].right = right;
+  }
+  return index;
+}
+
+void MipsBallTree::ShapeNode(int index, std::uint64_t seed, ThreadPool* pool,
+                             BuildScratch* scratch) {
+  Node& node = nodes_[index];  // nodes_ is laid out: no reallocation
+  const std::size_t begin = node.begin;
+  const std::size_t count = node.end - node.begin;
+  const std::size_t cols = data_->cols();
+  const auto row_at = [&](std::size_t offset) {
+    return data_->Row(point_order_[begin + offset]);
+  };
+
+  // Center = mean of the points: per-block partial sums, added in
+  // block order (one block is the plain running sum).
+  const std::size_t blocks = (count + kPassBlockRows - 1) / kPassBlockRows;
+  scratch->partial_sums.assign(blocks * cols, 0.0);
+  RunBlocks(pool, count, [&](std::size_t b, std::size_t lo, std::size_t hi) {
+    double* sum = scratch->partial_sums.data() + b * cols;
+    for (std::size_t t = lo; t < hi; ++t) {
+      const std::span<const double> row = row_at(t);
+      for (std::size_t c = 0; c < cols; ++c) sum[c] += row[c];
     }
-    const double inv = 1.0 / static_cast<double>(end - begin);
-    for (double& c : node.center) c *= inv;
-    for (std::size_t t = begin; t < end; ++t) {
-      node.radius = std::max(
-          node.radius, std::sqrt(kernels::SquaredDistance(
-                           data_->Row(point_order_[t]), node.center)));
+  });
+  node.center.assign(scratch->partial_sums.begin(),
+                     scratch->partial_sums.begin() + cols);
+  for (std::size_t b = 1; b < blocks; ++b) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      node.center[c] += scratch->partial_sums[b * cols + c];
     }
   }
-  const std::size_t count = end - begin;
-  if (count <= leaf_size) return index;
+  const double inv = 1.0 / static_cast<double>(count);
+  for (double& c : node.center) c *= inv;
 
-  // Two-pivot split: a random point, the farthest point A from it, and
-  // the farthest point B from A; partition by nearer pivot.
-  const std::size_t seed_pos =
-      begin + static_cast<std::size_t>(rng->NextBounded(count));
-  auto farthest_from = [&](std::size_t from_index) {
-    std::size_t best = begin;
-    double best_dist = -1.0;
-    for (std::size_t t = begin; t < end; ++t) {
-      const double dist = kernels::SquaredDistance(data_->Row(point_order_[t]),
-                                          data_->Row(from_index));
-      if (dist > best_dist) {
-        best_dist = dist;
-        best = t;
+  // Radius = max distance to the center. An internal node also needs
+  // pivot A, the farthest point from its seed point, found in the same
+  // sweep. The seed is a per-node hash of the one build draw, so it
+  // does not depend on which task shapes the node.
+  const bool split = !node.IsLeaf();
+  std::uint64_t mix = seed ^ (static_cast<std::uint64_t>(index) *
+                              0xd1342543de82ef95ULL);
+  const std::span<const double> seed_row =
+      row_at(static_cast<std::size_t>(SplitMix64(mix) % count));
+  scratch->from_center.assign(blocks, Farthest{});
+  scratch->from_pivot.assign(blocks, Farthest{});
+  RunBlocks(pool, count, [&](std::size_t b, std::size_t lo, std::size_t hi) {
+    Farthest center_best;
+    Farthest seed_best;
+    for (std::size_t t = lo; t < hi; ++t) {
+      const std::span<const double> row = row_at(t);
+      KeepFarther({kernels::SquaredDistance(row, node.center), t},
+                  &center_best);
+      if (split) {
+        KeepFarther({kernels::SquaredDistance(row, seed_row), t}, &seed_best);
       }
     }
-    return best;
-  };
-  const std::size_t a_pos = farthest_from(point_order_[seed_pos]);
-  const std::size_t b_pos = farthest_from(point_order_[a_pos]);
-  const std::size_t a_index = point_order_[a_pos];
-  const std::size_t b_index = point_order_[b_pos];
+    scratch->from_center[b] = center_best;
+    scratch->from_pivot[b] = seed_best;
+  });
+  Farthest radius;
+  Farthest pivot_a;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    KeepFarther(scratch->from_center[b], &radius);
+    KeepFarther(scratch->from_pivot[b], &pivot_a);
+  }
+  node.radius = std::sqrt(radius.distance);
+  if (!split) return;
 
-  auto closer_to_a = [&](std::size_t point) {
-    return kernels::SquaredDistance(data_->Row(point), data_->Row(a_index)) <=
-           kernels::SquaredDistance(data_->Row(point), data_->Row(b_index));
-  };
-  auto middle = std::partition(point_order_.begin() + begin,
-                               point_order_.begin() + end, closer_to_a);
-  std::size_t mid = static_cast<std::size_t>(
-      std::distance(point_order_.begin(), middle));
-  // Degenerate split (duplicates): fall back to a halving split.
-  if (mid == begin || mid == end) mid = begin + count / 2;
+  // Pivot B: the farthest point from A.
+  const std::span<const double> a_row = row_at(pivot_a.offset);
+  scratch->from_pivot.assign(blocks, Farthest{});
+  RunBlocks(pool, count, [&](std::size_t b, std::size_t lo, std::size_t hi) {
+    Farthest best;
+    for (std::size_t t = lo; t < hi; ++t) {
+      KeepFarther({kernels::SquaredDistance(row_at(t), a_row), t}, &best);
+    }
+    scratch->from_pivot[b] = best;
+  });
+  Farthest pivot_b;
+  for (const Farthest& block : scratch->from_pivot) {
+    KeepFarther(block, &pivot_b);
+  }
+  const std::span<const double> b_row = row_at(pivot_b.offset);
 
-  const int left = BuildNode(begin, mid, leaf_size, rng);
-  const int right = BuildNode(mid, end, leaf_size, rng);
-  nodes_[index].left = left;
-  nodes_[index].right = right;
-  return index;
+  // Median split along A -> B under the total order (projection, data
+  // index): each child gets half the points whatever the data, where
+  // splitting by nearer pivot peels norm outliers off one at a time.
+  scratch->axis.resize(cols);
+  for (std::size_t c = 0; c < cols; ++c) {
+    scratch->axis[c] = b_row[c] - a_row[c];
+  }
+  scratch->keys.resize(count);
+  RunBlocks(pool, count, [&](std::size_t, std::size_t lo, std::size_t hi) {
+    for (std::size_t t = lo; t < hi; ++t) {
+      scratch->keys[t] = {kernels::Dot(row_at(t), scratch->axis),
+                          point_order_[begin + t]};
+    }
+  });
+  std::nth_element(scratch->keys.begin(),
+                   scratch->keys.begin() +
+                       static_cast<std::ptrdiff_t>(count / 2),
+                   scratch->keys.end());
+  for (std::size_t t = 0; t < count; ++t) {
+    point_order_[begin + t] = scratch->keys[t].second;
+  }
+}
+
+void MipsBallTree::ShapeSubtree(int index, std::uint64_t seed,
+                                BuildScratch* scratch) {
+  ShapeNode(index, seed, nullptr, scratch);
+  const Node& node = nodes_[index];
+  if (node.IsLeaf()) return;
+  ShapeSubtree(node.left, seed, scratch);
+  ShapeSubtree(node.right, seed, scratch);
 }
 
 double MipsBallTree::SignedBound(const Node& node, std::span<const double> q,
@@ -165,13 +341,14 @@ double MipsBallTree::UnsignedBound(const Node& node,
 void MipsBallTree::SearchSigned(int node_index, std::span<const double> q,
                                 double q_norm, MipsResult* best) const {
   const Node& node = nodes_[node_index];
-  if (SignedBound(node, q, q_norm) <= best->value) return;
+  if (SignedBound(node, q, q_norm) < best->value) return;
   if (node.IsLeaf()) {
     for (std::size_t t = node.begin; t < node.end; ++t) {
       const std::size_t point = point_order_[t];
       const double value = kernels::Dot(data_->Row(point), q);
       ++best->evaluated;
-      if (value > best->value) {
+      if (value > best->value ||
+          (value == best->value && point < best->index)) {
         best->value = value;
         best->index = point;
       }
@@ -193,13 +370,14 @@ void MipsBallTree::SearchSigned(int node_index, std::span<const double> q,
 void MipsBallTree::SearchUnsigned(int node_index, std::span<const double> q,
                                   double q_norm, MipsResult* best) const {
   const Node& node = nodes_[node_index];
-  if (UnsignedBound(node, q, q_norm) <= best->value) return;
+  if (UnsignedBound(node, q, q_norm) < best->value) return;
   if (node.IsLeaf()) {
     for (std::size_t t = node.begin; t < node.end; ++t) {
       const std::size_t point = point_order_[t];
       const double value = std::abs(kernels::Dot(data_->Row(point), q));
       ++best->evaluated;
-      if (value > best->value) {
+      if (value > best->value ||
+          (value == best->value && point < best->index)) {
         best->value = value;
         best->index = point;
       }

@@ -12,11 +12,21 @@
 // the exact tree baseline the paper's related-work section contrasts
 // with LSH approaches -- correct in any dimension, fast only when the
 // curse of dimensionality spares it.
+//
+// Build: every internal node splits at the median of its points'
+// projections onto a two-pivot axis A-B, so a node over c points has
+// children over floor(c/2) and ceil(c/2) points and the depth is at
+// most ceil(log2(n / leaf_size)) + 1 whatever the data. The topology
+// therefore depends on n alone: it is laid out in preorder up front and
+// the geometry of independent subtrees is filled in on a thread pool.
+// Nothing depends on thread timing, so the nodes and point order are
+// bitwise the same for any pool size.
 
 #ifndef IPS_TREE_MIPS_TREE_H_
 #define IPS_TREE_MIPS_TREE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -27,6 +37,8 @@
 #include "util/status.h"
 
 namespace ips {
+
+class ThreadPool;  // util/thread_pool.h
 
 /// Result of an exact MIPS query.
 struct MipsResult {
@@ -66,24 +78,33 @@ class MipsBallTree {
   };
 
   /// Builds the tree; `data` must outlive it. Leaves hold at most
-  /// `leaf_size` points.
-  MipsBallTree(const Matrix& data, std::size_t leaf_size, Rng* rng);
+  /// `leaf_size` points. Draws one value from `rng`, which seeds every
+  /// node's pivot search. Runs on `pool` when given, else (above 4096
+  /// rows) on a local pool of ThreadPool::DefaultThreadCount() workers;
+  /// the result does not depend on the pool.
+  MipsBallTree(const Matrix& data, std::size_t leaf_size, Rng* rng,
+               ThreadPool* pool = nullptr);
 
   /// Reassembles a tree from persisted build artifacts without
-  /// rebuilding. Every structural invariant is re-validated (ranges,
-  /// child links, center dimensions, point_order a permutation), so a
-  /// corrupted-but-CRC-valid artifact yields a Status, not undefined
-  /// search behavior. `data` must outlive the tree.
+  /// rebuilding. Every structural invariant is re-validated (the root
+  /// spans every point, each node's children tile its range, every
+  /// non-root node has exactly one parent, center dimensions,
+  /// point_order a permutation), so a corrupted-but-CRC-valid artifact
+  /// yields a Status, not undefined search behavior or skipped rows.
+  /// Any valid tree is accepted, balanced or not: snapshots written
+  /// before the median split restore their old tree verbatim. `data`
+  /// must outlive the tree.
   [[nodiscard]] static StatusOr<MipsBallTree> Restore(
       const Matrix& data, std::vector<Node> nodes,
       std::vector<std::size_t> point_order, int root);
 
   std::size_t num_points() const { return data_->rows(); }
 
-  /// argmax_p q^T p (signed maximum), exact.
+  /// argmax_p q^T p (signed maximum), exact; ties break toward the
+  /// smaller data index, so the answer does not depend on the tree.
   MipsResult QueryMax(std::span<const double> q) const;
 
-  /// argmax_p |q^T p| (unsigned maximum), exact.
+  /// argmax_p |q^T p| (unsigned maximum), exact, with the same ties.
   MipsResult QueryMaxAbs(std::span<const double> q) const;
 
   /// Exact top-k by signed inner product, descending; branch-and-bound
@@ -114,8 +135,20 @@ class MipsBallTree {
  private:
   MipsBallTree() = default;  // Restore fills the members.
 
-  int BuildNode(std::size_t begin, std::size_t end, std::size_t leaf_size,
-                Rng* rng);
+  struct BuildScratch;
+
+  /// Appends the node over [begin, end) and its subtree in preorder:
+  /// ranges and child links only, which the median split fixes.
+  int LayOut(std::size_t begin, std::size_t end, std::size_t leaf_size);
+
+  /// Fills node `index`'s center and radius and, for an internal node,
+  /// orders its points so each child's range holds the child's points.
+  /// Its passes run on `pool` when non-null.
+  void ShapeNode(int index, std::uint64_t seed, ThreadPool* pool,
+                 BuildScratch* scratch);
+
+  /// ShapeNode over the subtree at `index`, depth first, inline.
+  void ShapeSubtree(int index, std::uint64_t seed, BuildScratch* scratch);
 
   /// Upper bound on q^T p over the node's ball.
   double SignedBound(const Node& node, std::span<const double> q,

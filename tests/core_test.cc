@@ -293,7 +293,7 @@ TEST_F(SixIndexesTest, IndexJoinWorkIsSumOfPerCallStats) {
   const bool scalar = std::string_view(kernels::ActiveIsaName()) == "scalar";
   const Pinned pinned[] = {
       {brute_.get(), 7200, 21, 3517},
-      {tree_.get(), 583, 21, 3517},
+      {tree_.get(), 798, 21, 3517},
       {lsh_.get(), 1698, 21, 3517},
       {sketch_.get(), 24, 18, 3580},
       {symmetric_.get(), scalar ? 1791u : 1750u, 21, 3517},

@@ -404,6 +404,71 @@ TEST(LshTablesTest, CandidatesAreSortedAndUnique) {
             candidates.end());
 }
 
+// FNV-1a over every table's buckets in iteration order: key, size and
+// entries. Equal digests mean equal contents *and* bucket order.
+std::uint64_t BucketDigest(const LshTables& tables) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int b = 0; b < 8; ++b) {
+      hash = (hash ^ ((value >> (8 * b)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  for (std::size_t t = 0; t < tables.num_tables(); ++t) {
+    for (const auto& [key, bucket] : tables.table_buckets(t)) {
+      mix(key);
+      mix(bucket.size());
+      for (const std::uint32_t i : bucket) mix(i);
+    }
+  }
+  return hash;
+}
+
+Matrix GaussianRows(std::size_t n, std::size_t d, std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(n, d);
+  for (double& v : m.data()) v = rng.NextGaussian();
+  return m;
+}
+
+TEST(LshTablesTest, BucketsAreIdenticalForEveryPoolSize) {
+  const Matrix data = GaussianRows(2000, 8, 81);
+  const SimHashFamily family(8);
+  const LshTableParams params{.k = 5, .l = 11};
+  ThreadPool inline_pool(0);
+  ThreadPool serial(1);
+  ThreadPool four(4);
+  Rng rng_a(82);
+  Rng rng_b(82);
+  Rng rng_c(82);
+  Rng rng_d(82);
+  const LshTables a(family, data, params, &rng_a, &serial);
+  const LshTables b(family, data, params, &rng_b, &four);
+  const LshTables c(family, data, params, &rng_c);
+  const LshTables d(family, data, params, &rng_d, &inline_pool);
+  EXPECT_EQ(BucketDigest(a), BucketDigest(b));
+  EXPECT_EQ(BucketDigest(a), BucketDigest(c));
+  EXPECT_EQ(BucketDigest(a), BucketDigest(d));
+  for (std::size_t t = 0; t < a.num_tables(); ++t) {
+    EXPECT_EQ(a.table_buckets(t), b.table_buckets(t)) << "table " << t;
+  }
+  const std::uint64_t next = rng_a.NextUint64();
+  EXPECT_EQ(next, rng_b.NextUint64());
+  EXPECT_EQ(next, rng_c.NextUint64());
+}
+
+TEST(LshTablesTest, BucketDigestMatchesTheSerialBuilder) {
+  // Pinned from the single-threaded builder this parallel one replaced:
+  // snapshots persist the buckets and replay the function draws from a
+  // saved rng state, so both must stay what that builder produced.
+  const Matrix data = GaussianRows(600, 8, 2016);
+  const SimHashFamily family(8);
+  Rng rng(91);
+  const LshTables tables(family, data, LshTableParams{.k = 6, .l = 12},
+                         &rng);
+  EXPECT_EQ(BucketDigest(tables), 0x18aa28c55f6486e5ULL);
+  EXPECT_EQ(rng.NextUint64(), 0x1a4f67c2db68d305ULL);
+}
+
 TEST(LshTableParamsTest, FromGapIsReasonable) {
   const LshTableParams params = LshTableParams::FromGap(10000, 0.9, 0.5);
   // k = ceil(ln 1e4 / ln 2) = 14; rho = ln .9 / ln .5 ~ 0.152.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "linalg/kernels.h"
 #include "rng/random.h"
@@ -12,6 +13,7 @@
 #include "sketch/max_stability.h"
 #include "sketch/sketch_mips.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace ips {
 namespace {
@@ -236,6 +238,71 @@ TEST(SketchMipsTest, SketchRowsSublinearInN) {
   // Total space is superlinear in the sketch rows but each data vector
   // appears in only O(log n) node sketches.
   EXPECT_GT(large_index.TotalSketchRows(), large_index.RootSketchRows());
+}
+
+Matrix GaussianRows(std::size_t n, std::size_t d, std::uint64_t seed) {
+  Rng rng(seed);
+  Matrix m(n, d);
+  for (double& v : m.data()) v = rng.NextGaussian();
+  return m;
+}
+
+TEST(SketchMipsBuildTest, DrawThenFinishIsTheConstructedSketch) {
+  MaxStabilityParams params;
+  params.copies = 3;
+  Rng rng_a(61);
+  Rng rng_b(61);
+  const MaxStabilitySketch built(300, params, &rng_a);
+  MaxStabilitySketch drawn = MaxStabilitySketch::Draw(300, params, &rng_b);
+  drawn.Finish();
+  EXPECT_EQ(rng_a.NextUint64(), rng_b.NextUint64());
+  const Matrix data = GaussianRows(300, 4, 62);
+  const Matrix a = built.SketchDataMatrix(data, 0, 300);
+  const Matrix b = drawn.SketchDataMatrix(data, 0, 300);
+  EXPECT_EQ(a.data(), b.data());
+}
+
+TEST(SketchMipsBuildTest, IndexIsIdenticalForEveryPoolSize) {
+  const Matrix data = GaussianRows(3000, 6, 63);
+  ThreadPool inline_pool(0);
+  ThreadPool serial(1);
+  ThreadPool four(4);
+  Rng rng_a(64);
+  Rng rng_b(64);
+  Rng rng_c(64);
+  Rng rng_d(64);
+  const SketchMipsIndex a(data, SketchMipsParams{}, &rng_a, &serial);
+  const SketchMipsIndex b(data, SketchMipsParams{}, &rng_b, &four);
+  const SketchMipsIndex c(data, SketchMipsParams{}, &rng_c);
+  const SketchMipsIndex d(data, SketchMipsParams{}, &rng_d, &inline_pool);
+  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+  EXPECT_EQ(a.Fingerprint(), c.Fingerprint());
+  EXPECT_EQ(a.Fingerprint(), d.Fingerprint());
+  EXPECT_EQ(a.TotalSketchRows(), b.TotalSketchRows());
+  const std::uint64_t next = rng_a.NextUint64();
+  EXPECT_EQ(next, rng_b.NextUint64());
+  EXPECT_EQ(next, rng_c.NextUint64());
+  EXPECT_EQ(next, rng_d.NextUint64());
+  Rng query_rng(65);
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<double> q(6);
+    for (double& v : q) v = query_rng.NextGaussian();
+    EXPECT_EQ(a.RecoverArgmax(q), b.RecoverArgmax(q));
+    EXPECT_EQ(a.EstimateMaxAbsInnerProduct(q),
+              b.EstimateMaxAbsInnerProduct(q));
+  }
+}
+
+TEST(SketchMipsBuildTest, FingerprintMatchesTheSerialBuilder) {
+  // Pinned from the single-threaded builder this parallel one replaced:
+  // an engine snapshot stores only the rng state its sketch was built
+  // from and rebuilds the sketch at load, so a build from a given state
+  // must keep producing these bits (and consume the same draws).
+  const Matrix data = GaussianRows(600, 8, 2016);
+  Rng rng(77);
+  const SketchMipsIndex index(data, SketchMipsParams{}, &rng);
+  EXPECT_EQ(index.Fingerprint(), 0x35ccd740552a5ba6ULL);
+  EXPECT_EQ(rng.NextUint64(), 0xa1e07f5d15759c79ULL);
 }
 
 TEST(CmipsScalingTest, StepCount) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -16,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/top_k.h"
+#include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "linalg/quantized.h"
 #include "lsh/bucket_join.h"
@@ -28,6 +32,7 @@
 #include "storage/file.h"
 #include "storage/format.h"
 #include "storage/snapshot.h"
+#include "tree/mips_tree.h"
 #include "util/failpoint.h"
 #include "util/status.h"
 
@@ -416,6 +421,116 @@ TEST_F(StorageTest, EngineSnapshotWrappingTreeCountsAreDataLoss) {
     EXPECT_EQ(warm.status().code(), StatusCode::kDataLoss);
     EXPECT_NE(warm.status().message().find("TREE"), std::string::npos)
         << warm.status().ToString();
+  }
+}
+
+// A TREE section payload in the snapshot format (engine_snapshot.cc).
+std::vector<unsigned char> TreePayload(
+    std::size_t cols, const std::vector<MipsBallTree::Node>& nodes,
+    const std::vector<std::size_t>& order, int root) {
+  storage::PayloadWriter w;
+  w.PutU64(cols);
+  w.PutI32(root);
+  w.PutU64(nodes.size());
+  for (const MipsBallTree::Node& node : nodes) {
+    w.PutU64(node.begin);
+    w.PutU64(node.end);
+    w.PutI32(node.left);
+    w.PutI32(node.right);
+    w.PutDouble(node.radius);
+    w.PutDoubles(node.center);
+  }
+  w.PutU64(order.size());
+  for (std::size_t p : order) w.PutU64(p);
+  return std::vector<unsigned char>(w.bytes().begin(), w.bytes().end());
+}
+
+// A CRC-valid TREE section whose child ranges leave a gap in their
+// parent's range would let search skip rows; the load must refuse it.
+TEST_F(StorageTest, EngineSnapshotTreeChildRangeGapIsDataLoss) {
+  auto cold = Engine::Create(RandomMatrix(64, 8, 12), SmallEngineOptions());
+  ASSERT_TRUE(cold.ok());
+  ASSERT_TRUE((*cold)->EnsureIndex(QueryAlgo::kBallTree).ok());
+  const std::string dir = TempPath("engine_tree_gap_snap");
+  ASSERT_TRUE((*cold)->SaveSnapshot(dir).ok());
+  Rng rng(5);
+  const MipsBallTree tree((*cold)->data(), 4, &rng);
+  std::vector<MipsBallTree::Node> nodes = tree.nodes();
+  nodes[nodes[tree.root()].left].end -= 1;
+  ReplaceSection(dir + "/snapshot.ips", storage::kSectionTree,
+                 TreePayload(8, nodes, tree.point_order(), tree.root()));
+  auto warm = Engine::CreateFromSnapshot(dir);
+  ASSERT_FALSE(warm.ok());
+  EXPECT_EQ(warm.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(warm.status().message().find("do not tile"), std::string::npos)
+      << warm.status().ToString();
+}
+
+// Snapshots written before the median split hold unbalanced trees; a
+// load restores such a tree verbatim and still answers exactly. The
+// most unbalanced shape -- every split peels one point off -- stands in
+// for them.
+TEST_F(StorageTest, EngineSnapshotWithUnbalancedTreeAnswersExactly) {
+  const std::size_t n = 64;
+  const std::size_t dim = 8;
+  auto cold = Engine::Create(RandomMatrix(n, dim, 13), SmallEngineOptions());
+  ASSERT_TRUE(cold.ok());
+  ASSERT_TRUE((*cold)->EnsureIndex(QueryAlgo::kBallTree).ok());
+  const std::string dir = TempPath("engine_unbalanced_tree_snap");
+  ASSERT_TRUE((*cold)->SaveSnapshot(dir).ok());
+  const Matrix& data = (*cold)->data();
+
+  std::vector<std::size_t> order(n);
+  for (std::size_t t = 0; t < n; ++t) order[t] = n - 1 - t;
+  std::vector<MipsBallTree::Node> nodes;
+  const auto add_node = [&](std::size_t begin, std::size_t end) {
+    MipsBallTree::Node node;
+    node.begin = begin;
+    node.end = end;
+    node.center.assign(dim, 0.0);
+    for (std::size_t t = begin; t < end; ++t) {
+      for (std::size_t c = 0; c < dim; ++c) {
+        node.center[c] += data.At(order[t], c);
+      }
+    }
+    for (double& c : node.center) c /= static_cast<double>(end - begin);
+    for (std::size_t t = begin; t < end; ++t) {
+      node.radius = std::max(node.radius,
+                             std::sqrt(kernels::SquaredDistance(
+                                 data.Row(order[t]), node.center)));
+    }
+    nodes.push_back(std::move(node));
+    return static_cast<int>(nodes.size() - 1);
+  };
+  // Preorder chain: [t, n) splits into the leaf [t, t+1) and [t+1, n).
+  for (std::size_t t = 0; t + 1 < n; ++t) {
+    const int parent = add_node(t, n);
+    nodes[parent].left = add_node(t, t + 1);
+    nodes[parent].right = parent + 2;
+  }
+  add_node(n - 1, n);
+  ASSERT_TRUE(MipsBallTree::Restore(data, nodes, order, 0).ok());
+  ReplaceSection(dir + "/snapshot.ips", storage::kSectionTree,
+                 TreePayload(dim, nodes, order, 0));
+
+  auto warm = Engine::CreateFromSnapshot(dir);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  QueryOptions options;
+  options.force_algorithm = QueryAlgo::kBallTree;
+  options.k = 5;
+  Rng rng(17);
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<double> q(dim);
+    for (double& v : q) v = rng.NextGaussian();
+    auto result = (*warm)->Query({q, options});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::vector<SearchMatch> want =
+        TopKBruteForce(data, q, options.k, /*is_signed=*/true);
+    ASSERT_EQ(result->matches.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(result->matches[i].index, want[i].index);
+      EXPECT_EQ(result->matches[i].value, want[i].value);
+    }
   }
 }
 

@@ -234,6 +234,38 @@ TEST(TopKTest, PartialSelectMatchesFullSortReference) {
   }
 }
 
+TEST(TopKTest, StreamingBruteForceMatchesKBestAcrossBlocks) {
+  // TopKBruteForce streams the scan through a heap block by block;
+  // TopKFromCandidates over every row still scores all rows and runs
+  // KBest's select-then-sort. Rows repeat every 250, so each score ties
+  // with rows in other blocks, and sign-flipped copies make the
+  // unsigned scores tie across signs too.
+  Rng rng(23);
+  Matrix data(2000, 6);
+  for (std::size_t r = 0; r < 1000; ++r) {
+    for (std::size_t j = 0; j < data.cols(); ++j) {
+      data.At(r, j) = r < 250 ? rng.NextGaussian() : data.At(r % 250, j);
+      data.At(r + 1000, j) = -data.At(r, j);
+    }
+  }
+  std::vector<std::size_t> every_row(data.rows());
+  for (std::size_t i = 0; i < every_row.size(); ++i) every_row[i] = i;
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<double> q(data.cols());
+    for (double& v : q) v = rng.NextGaussian();
+    for (const bool is_signed : {true, false}) {
+      for (const std::size_t k : {1UL, 3UL, 9UL, 100UL, 1999UL, 2000UL,
+                                  3000UL}) {
+        SCOPED_TRACE("signed=" + std::to_string(is_signed) +
+                     " k=" + std::to_string(k));
+        ExpectSameMatches(
+            TopKBruteForce(data, q, k, is_signed),
+            TopKFromCandidates(data, q, every_row, k, is_signed));
+      }
+    }
+  }
+}
+
 TEST(TopKTest, TreeTopOneMatchesQueryMax) {
   Rng rng(17);
   const Matrix data = MakeUnitBallGaussian(300, 10, 0.2, &rng);
